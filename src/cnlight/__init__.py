@@ -44,6 +44,7 @@ from .analytic_core import (
 )
 from .dynamics import (
     CouplingSchedule,
+    ExactPropagator,
     IntegratorStats,
     SystemState,
     Trajectory,

@@ -383,7 +383,6 @@ def _cmd_protocol(args) -> int:
 def _cmd_table1(args) -> int:
     started = time.perf_counter()
     config = reference_config()
-    workers = int(os.environ.get("CNLIGHT_THREADS", "1"))
     wanted = {int(r) for r in args.rows.split(",")} if args.rows else {1, 2, 3}
     lines = ["m1,m2,delta_nu,t_tof,leakage,p0,p1,p2,p3,p4,p5"]
     for idx, ref in enumerate(REFERENCE_CATS, start=1):
@@ -393,7 +392,7 @@ def _cmd_table1(args) -> int:
         vec[ref.m1] = vec[ref.m2] = 1.0 / math.sqrt(2.0)
         field = FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
         window = (0.85 * ref.t_tof, 1.15 * ref.t_tof)
-        found = find_tof_for_cat(field, config, window=window, workers=workers)
+        found = find_tof_for_cat(field, config, window=window)
         rep = subsequent_passage(field, config, found.t_tof)
         nu_lo = ref.m1 - 2 if ref.m1 >= 2 else max(ref.m1 - 1, 0)
         delta_nu = ref.m2 - nu_lo

@@ -11,12 +11,18 @@ symmetry of the field) come out right.
 
 Sectors never mix: the total excitation number commutes with the
 Hamiltonian, so a multi-sector state integrates as independent runs.
+
+For resonant sectors (all bare energies equal) the interaction-picture
+generator commutes with itself at all times, and :class:`ExactPropagator`
+gives the state in closed form from the pulse area of the envelope.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +32,7 @@ from .hilbert import AtomicConfig, BasisState, Kind, SectorBasis, build_sector_b
 
 __all__ = [
     "CouplingSchedule",
+    "ExactPropagator",
     "SystemState",
     "Trajectory",
     "IntegratorStats",
@@ -42,6 +49,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-11
 MIN_STEP = 1e-12
+GAUSS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the envelope
 
 
 # ------------------------------------------------------------------
@@ -505,3 +513,94 @@ def integrate(
         for i in range(len(grid))
     )
     return Trajectory(times=grid, snapshots=snapshots, stats=stats)
+
+
+# ------------------------------------------------------------------
+# exact propagation of resonant sectors
+# ------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(GAUSS_NODES)
+
+
+def _pulse_area(schedule: CouplingSchedule, t: float) -> float:
+    """Area under the envelope on [0, t].
+
+    The bump is analytic everywhere except at the ramp ends
+    {0, 1, t_tof - 1, t_tof}, where its derivatives all vanish.
+    Gauss-Legendre quadrature on each piece between those breakpoints
+    reaches roundoff with GAUSS_NODES nodes, also on a partial ramp.  The
+    constant envelope takes the same path and comes out as t.
+    """
+    inner = {1.0, schedule.t_tof - 1.0, schedule.t_tof}
+    cuts = np.array(sorted({0.0, t} | {c for c in inner if 0.0 < c < t}))
+    x, w = _gauss_legendre()
+    mid = 0.5 * (cuts[1:] + cuts[:-1])
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    f = schedule.envelope((mid[:, None] + half[:, None] * x[None, :]).ravel())
+    return float(half @ (np.reshape(f, (half.size, x.size)) @ w))
+
+
+class ExactPropagator:
+    """Closed-form propagation of a state whose sectors are all resonant.
+
+    When every basis state of a sector has the same bare energy E0 (every
+    detuning zero), the interaction-picture generator is f(t) H_int, which
+    commutes with itself at all times.  With H_int = V diag(lam) V^dag and
+    the pulse area A(t) of the envelope f,
+
+        psi(t) = exp(-i E0 t) V exp(-i A(t) lam) V^dag psi(0)
+
+    exactly.  Each sector is diagonalised once; every later time costs one
+    quadrature of the envelope and one phase multiply.
+
+    Raises ValidationError outside that domain: for a sector whose bare
+    energies differ (any nonzero detuning), and for the literal envelope,
+    which is kept only for comparison and left to the integrator.
+    """
+
+    def __init__(
+        self,
+        initial: SystemState,
+        config: AtomicConfig,
+        schedule: CouplingSchedule,
+    ):
+        if schedule.literal_envelope:
+            raise ValidationError(
+                "the exact propagator needs the smooth envelope, "
+                "not literal_envelope=True"
+            )
+        self.schedule = schedule
+        self._sectors = {}
+        for m, (basis, amps) in initial.sectors.items():
+            e = np.array([diagonal_energy(s, config) for s in basis.states])
+            if np.any(e != e[0]):
+                raise ValidationError(
+                    f"sector {m} is detuned: its bare energies span "
+                    f"{float(np.ptp(e)):.3g}"
+                )
+            h = interaction_matrix(config, basis, schedule.couplings(config))
+            lam, v = np.linalg.eigh(h)
+            self._sectors[m] = (basis, float(e[0]), lam, v, v.conj().T @ amps)
+
+    def with_flight_time(self, t_tof: float) -> "ExactPropagator":
+        """The same state and couplings under a bump of duration ``t_tof``.
+
+        The couplings fix the eigenbasis, so nothing is diagonalised again.
+        """
+        other = copy.copy(self)
+        other.schedule = replace(self.schedule, mode="bump", t_tof=t_tof)
+        return other
+
+    def state_at(self, t: float) -> SystemState:
+        """Physical amplitudes at time ``t`` >= 0."""
+        if t < 0:
+            raise ValidationError(f"need t >= 0, got {t}")
+        area = _pulse_area(self.schedule, t)
+        return SystemState(sectors={
+            m: (basis, np.exp(-1j * e0 * t) * (v @ (np.exp(-1j * area * lam) * c0)))
+            for m, (basis, e0, lam, v, c0) in self._sectors.items()
+        })

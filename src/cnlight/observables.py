@@ -164,8 +164,7 @@ def _coherent_overlaps(rho_r: np.ndarray, phi: np.ndarray, dim: int) -> np.ndarr
     nu = np.arange(dim)
     lg = np.array([math.lgamma(n + 1) for n in nu])
     rho_r = np.asarray(rho_r, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_r = np.where(rho_r > 0.0, np.log(rho_r, where=rho_r > 0.0), 0.0)
+    log_r = np.log(rho_r, out=np.zeros_like(rho_r), where=rho_r > 0.0)
     log_mag = (
         nu[None, :] * log_r[:, None]
         - 0.5 * lg[None, :]
@@ -236,8 +235,7 @@ def husimi_two_fock(nu1: int, nu2: int, theta: float, xi: float, rho_r, phi):
     rho_arr, phi_arr = np.broadcast_arrays(rho_arr, phi_arr)
 
     lg1, lg2 = math.lgamma(nu1 + 1), math.lgamma(nu2 + 1)
-    with np.errstate(divide="ignore"):
-        log_r = np.where(rho_arr > 0.0, np.log(rho_arr, where=rho_arr > 0.0), 0.0)
+    log_r = np.log(rho_arr, out=np.zeros_like(rho_arr), where=rho_arr > 0.0)
 
     def power(k: float, lg: float):
         # rho^k e^{-rho^2} / normalizer, safely through the log domain

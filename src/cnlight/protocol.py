@@ -19,17 +19,16 @@ imposed.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analytic_core import switching_time
 from .dynamics import (
     CouplingSchedule,
+    ExactPropagator,
     SystemState,
     Trajectory,
     ground_product_state,
@@ -160,6 +159,39 @@ def _golden_min(f, a: float, b: float, tol: float) -> Tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _scan_and_refine(
+    f: Callable[[float], float],
+    grid: np.ndarray,
+    tol: float,
+    scan: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
+) -> Tuple[float, float]:
+    """Minimum of f over a grid, refined by golden section.
+
+    ``scan`` evaluates f on the whole grid at once (default: point by
+    point).  The refinement brackets the best grid point by its
+    neighbours; golden section assumes one minimum there, so the best
+    grid point is kept when the refined one came out worse.
+    """
+    values = scan(grid) if scan is not None else [f(float(t)) for t in grid]
+    k = int(np.argmin(values))
+    a = float(grid[max(k - 1, 0)])
+    b = float(grid[min(k + 1, len(grid) - 1)])
+    x_best, f_best = _golden_min(f, a, b, tol)
+    if values[k] < f_best:
+        x_best, f_best = float(grid[k]), float(values[k])
+    return x_best, f_best
+
+
+def _exact_propagator(
+    state: SystemState, config: AtomicConfig, schedule: CouplingSchedule
+) -> Optional[ExactPropagator]:
+    """The closed-form propagator when every sector is resonant, else None."""
+    try:
+        return ExactPropagator(state, config, schedule)
+    except ValidationError:
+        return None
+
+
 def _entropy_trace(traj: Trajectory) -> np.ndarray:
     return np.array(
         [linear_entropy(reduce_field(s)) for s in traj.snapshots]
@@ -235,8 +267,10 @@ def first_passage(
     The exit time is placed at the local minimum of P(nu0 - 1): a coarse
     0.01 grid around the predicted instant (the switching time, delayed by
     the ramp area 1/2 for the bump envelope) followed by golden-section
-    refinement.  Raises MinimumNotFoundError when the minimum never drops
-    below EXIT_THRESHOLD.
+    refinement.  On a resonant configuration the search evaluates the
+    closed form (:class:`ExactPropagator`), otherwise it integrates; the
+    reported pass is always integrated.  Raises MinimumNotFoundError when
+    the minimum never drops below EXIT_THRESHOLD.
     """
     if config.kind is not Kind.XI:
         raise ValidationError("the first passage needs a ladder configuration")
@@ -260,24 +294,29 @@ def first_passage(
     basis = initial.sectors[nu0][0]
     idx_mid = basis.index(1, 0)          # the nu0 - 1 component
 
-    def p_mid_at(t: float) -> float:
-        traj = integrate(initial, config, schedule, t, n_snapshots=2)
-        _, amps = traj.snapshots[-1].sectors[nu0]
+    def p_mid(state: SystemState) -> float:
+        _, amps = state.sectors[nu0]
         return float(abs(amps[idx_mid]) ** 2)
 
+    exact = _exact_propagator(initial, config, schedule)
+    scan = None
+    if exact is not None:
+        def p_mid_at(t: float) -> float:
+            return p_mid(exact.state_at(t))
+    else:
+        def p_mid_at(t: float) -> float:
+            traj = integrate(initial, config, schedule, t, n_snapshots=2)
+            return p_mid(traj.snapshots[-1])
+
+        def scan(grid: np.ndarray) -> List[float]:
+            traj = integrate(
+                initial, config, schedule, float(grid[-1]),
+                snapshot_times=grid, n_snapshots=2,
+            )
+            return [p_mid(traj.state_at(float(t))) for t in grid]
+
     grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
-    traj = integrate(
-        initial, config, schedule, float(grid[-1]),
-        snapshot_times=grid, n_snapshots=2,
-    )
-    p_grid = []
-    for t in grid:
-        _, amps = traj.state_at(float(t)).sectors[nu0]
-        p_grid.append(float(abs(amps[idx_mid]) ** 2))
-    k = int(np.argmin(p_grid))
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, len(grid) - 1)])
-    t_exit, p_min = _golden_min(p_mid_at, a, b, GOLDEN_TOL)
+    t_exit, p_min = _scan_and_refine(p_mid_at, grid, GOLDEN_TOL, scan)
     if p_min > EXIT_THRESHOLD:
         raise MinimumNotFoundError(
             f"P({nu0 - 1}) only reaches {p_min:.3g} in [{lo:.3f}, {hi:.3f}]"
@@ -376,15 +415,16 @@ def find_tof_for_cat(
     target: float = DEFAULT_LEAKAGE_TARGET,
     window: Optional[Tuple[float, float]] = None,
     na: int = 1,
-    workers: Optional[int] = None,
 ) -> TofSearchResult:
     """Tune the time of flight so one pass leaves a clean two-Fock cat.
 
     Scans the window (default [1, 20]) on a 0.05 grid for the time of
     flight minimizing the population outside the two target photon
     numbers (drained lower component, preserved upper), then refines by
-    golden section.  Raises TargetUnreachableError (with the best point
-    attached) if the achieved leakage stays above ``target``.
+    golden section.  On a resonant configuration every candidate is
+    evaluated in closed form (:class:`ExactPropagator`), otherwise it is
+    integrated from t = 0.  Raises TargetUnreachableError (with the best
+    point attached) if the achieved leakage stays above ``target``.
     """
     c = _pure_amplitudes(field)
     support = [nu for nu in range(c.size) if abs(c[nu]) > 1e-12]
@@ -396,32 +436,30 @@ def find_tof_for_cat(
     basis1 = build_sector_basis(config, na, m1)
     nu_lo = min(s.nu for s in basis1.states)
     state = _state_from_field(field, config, na)
-
-    def leakage_at(t: float) -> float:
-        schedule = CouplingSchedule(mode="bump", t_tof=t)
-        traj = integrate(state, config, schedule, t, tol=SCAN_TOL, n_snapshots=4)
-        probs = photon_probabilities(reduce_field(traj.snapshots[-1]))
-        return float(1.0 - probs[nu_lo] - probs[m2])
-
     w0, w1 = window if window is not None else (1.0, 20.0)
     if not 0 < w0 < w1:
         raise ValidationError(f"bad search window ({w0}, {w1})")
-    candidates = np.arange(w0, w1 + SCAN_STEP / 2, SCAN_STEP)
 
-    if workers is None:
-        workers = int(os.environ.get("CNLIGHT_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            leaks = list(pool.map(leakage_at, candidates))
+    exact = _exact_propagator(
+        state, config, CouplingSchedule(mode="bump", t_tof=w0)
+    )
+    if exact is not None:
+        def exit_state(t: float) -> SystemState:
+            return exact.with_flight_time(t).state_at(t)
     else:
-        leaks = [leakage_at(float(t)) for t in candidates]
+        def exit_state(t: float) -> SystemState:
+            schedule = CouplingSchedule(mode="bump", t_tof=t)
+            traj = integrate(
+                state, config, schedule, t, tol=SCAN_TOL, n_snapshots=4
+            )
+            return traj.snapshots[-1]
 
-    k = int(np.argmin(leaks))
-    a = float(candidates[max(k - 1, 0)])
-    b = float(candidates[min(k + 1, len(candidates) - 1)])
-    t_best, leak_best = _golden_min(leakage_at, a, b, 1e-5)
-    if leaks[k] < leak_best:
-        t_best, leak_best = float(candidates[k]), float(leaks[k])
+    def leakage_at(t: float) -> float:
+        probs = photon_probabilities(reduce_field(exit_state(t)))
+        return float(1.0 - probs[nu_lo] - probs[m2])
+
+    candidates = np.arange(w0, w1 + SCAN_STEP / 2, SCAN_STEP)
+    t_best, leak_best = _scan_and_refine(leakage_at, candidates, 1e-5)
     if leak_best > target:
         raise TargetUnreachableError(
             f"best leakage {leak_best:.4g} at t_tof = {t_best:.4f} "

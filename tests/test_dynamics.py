@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -19,6 +19,7 @@ from cnlight.analytic_core import evolve_ground_analytic
 from cnlight.dynamics import (
     CONSTANT_SCHEDULE,
     CouplingSchedule,
+    ExactPropagator,
     SystemState,
     Trajectory,
     build_rhs,
@@ -447,3 +448,123 @@ class TestIntegrate:
         bad = SystemState(sectors={2: (basis, np.full(len(basis), 0.5 + 0j))})
         with pytest.raises(ValidationError):
             integrate(bad, REF, CONSTANT_SCHEDULE, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# exact propagation of resonant sectors
+
+_ALLOWED = {
+    Kind.XI: ("mu12", "mu23"),
+    Kind.V: ("mu12", "mu13"),
+    Kind.LAMBDA: ("mu13", "mu23"),
+}
+# the detunings that enter each kind's level frequencies
+_DETUNINGS = {
+    Kind.XI: ("delta12", "delta23"),
+    Kind.V: ("delta12", "delta13"),
+    Kind.LAMBDA: ("delta13", "delta23"),
+}
+
+
+def random_resonant_state(kind, na, m, seed):
+    """Resonant config plus a random state on sectors m and m + 2."""
+    rng = np.random.default_rng(seed)
+    cfg = AtomicConfig(
+        kind=kind, **{name: rng.uniform(0.3, 1.5) for name in _ALLOWED[kind]}
+    )
+    sectors = {}
+    for mm in (m, m + 2):
+        basis = build_sector_basis(cfg, na, mm)
+        amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        sectors[mm] = (basis, amps)
+    norm = math.sqrt(sum(np.sum(np.abs(a) ** 2) for _, a in sectors.values()))
+    return cfg, SystemState(
+        sectors={mm: (b, a / norm) for mm, (b, a) in sectors.items()}
+    )
+
+
+class TestExactPropagator:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 4),
+        m=st.integers(0, 4),
+        mode=st.sampled_from(["constant", "bump"]),
+        t_tof=st.floats(0.5, 6.0),
+        frac=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    # short flights (overlapping ramps) and partial passes, in and past a ramp
+    @example(kind=Kind.XI, na=1, m=3, mode="bump", t_tof=1.5, frac=0.6, seed=1)
+    @example(kind=Kind.V, na=2, m=2, mode="bump", t_tof=1.5, frac=1.0, seed=2)
+    @example(kind=Kind.LAMBDA, na=4, m=3, mode="bump", t_tof=5.0, frac=0.9, seed=3)
+    @example(kind=Kind.XI, na=3, m=4, mode="bump", t_tof=5.0, frac=0.5, seed=4)
+    @example(kind=Kind.XI, na=2, m=1, mode="constant", t_tof=4.0, frac=1.0, seed=5)
+    def test_matches_integrator(self, kind, na, m, mode, t_tof, frac, seed):
+        cfg, state = random_resonant_state(kind, na, m, seed)
+        if mode == "bump":
+            sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        else:
+            sched = CONSTANT_SCHEDULE
+        t = t_tof * frac
+        want = integrate(state, cfg, sched, t, tol=1e-11, n_snapshots=1)
+        got = ExactPropagator(state, cfg, sched).state_at(t)
+        assert sorted(got.sectors) == sorted(state.sectors)
+        for mm, (_, amps) in want.snapshots[-1].sectors.items():
+            np.testing.assert_allclose(got.sectors[mm][1], amps, rtol=0, atol=1e-9)
+
+    def test_time_zero_returns_the_initial_state(self):
+        cfg, state = random_resonant_state(Kind.V, 2, 2, 7)
+        got = ExactPropagator(state, cfg, CONSTANT_SCHEDULE).state_at(0.0)
+        for mm, (_, amps) in state.sectors.items():
+            np.testing.assert_allclose(got.sectors[mm][1], amps, atol=1e-15)
+
+    def test_full_bump_is_a_plateau_of_area_t_tof_minus_one(self):
+        # a full pass of duration T >= 2 equals flat coupling for T - 1,
+        # up to the bare phase exp(-i m T)
+        state = make_superposition(1, 3, 0.4, 0.3, 1, REF)
+        t_tof = 5.3
+        bumped = ExactPropagator(
+            state, REF, CouplingSchedule(mode="bump", t_tof=t_tof)
+        ).state_at(t_tof)
+        flat = ExactPropagator(state, REF, CONSTANT_SCHEDULE).state_at(t_tof - 1.0)
+        for mm in state.sectors:
+            np.testing.assert_allclose(
+                bumped.sectors[mm][1],
+                np.exp(-1j * mm) * flat.sectors[mm][1],
+                atol=1e-13,
+            )
+
+    def test_with_flight_time_matches_a_fresh_propagator(self):
+        cfg, state = random_resonant_state(Kind.LAMBDA, 3, 1, 11)
+        base = ExactPropagator(state, cfg, CouplingSchedule(mode="bump", t_tof=2.0))
+        fresh = ExactPropagator(state, cfg, CouplingSchedule(mode="bump", t_tof=4.5))
+        got = base.with_flight_time(4.5).state_at(4.0)
+        want = fresh.state_at(4.0)
+        for mm in state.sectors:
+            assert np.array_equal(got.sectors[mm][1], want.sectors[mm][1])
+        # the original keeps its own schedule
+        assert base.schedule.t_tof == 2.0
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [(k, d) for k, names in _DETUNINGS.items() for d in names],
+    )
+    @pytest.mark.parametrize("delta", [0.1, -1e-9])
+    def test_any_detuning_is_refused(self, kind, name, delta):
+        mus = {mu: 1.0 for mu in _ALLOWED[kind]}
+        cfg = AtomicConfig(kind=kind, **mus, **{name: delta})
+        state = make_superposition(1, 3, 0.5, 0.0, 1, cfg)
+        with pytest.raises(ValidationError):
+            ExactPropagator(state, cfg, CONSTANT_SCHEDULE)
+
+    def test_literal_envelope_is_refused(self):
+        state = ground_product_state(REF, 3)
+        sched = CouplingSchedule(mode="bump", t_tof=4.0, literal_envelope=True)
+        with pytest.raises(ValidationError):
+            ExactPropagator(state, REF, sched)
+
+    def test_negative_time_is_refused(self):
+        prop = ExactPropagator(ground_product_state(REF, 3), REF, CONSTANT_SCHEDULE)
+        with pytest.raises(ValidationError):
+            prop.state_at(-0.1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cnlight import protocol
 from cnlight.analytic_core import balanced_coupling, switching_time
 from cnlight.dynamics import CONSTANT_SCHEDULE, CouplingSchedule
 from cnlight.errors import (
@@ -17,8 +18,11 @@ from cnlight.hilbert import AtomicConfig, Kind
 from cnlight.observables import FieldDensityMatrix
 from cnlight.protocol import (
     REFERENCE_CATS,
+    SCAN_STEP,
     PassSpec,
     ProtocolSpec,
+    _golden_min,
+    _scan_and_refine,
     find_tof_for_cat,
     first_passage,
     reference_config,
@@ -27,6 +31,9 @@ from cnlight.protocol import (
 )
 
 REF = reference_config()
+DETUNED = AtomicConfig(
+    kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0), delta12=0.1, delta23=-0.05
+)
 
 
 def two_fock_field(nu1, nu2, theta, xi=0.0):
@@ -35,6 +42,58 @@ def two_fock_field(nu1, nu2, theta, xi=0.0):
     vec[nu1] = math.cos(theta)
     vec[nu2] = math.sin(theta) * np.exp(1j * xi)
     return FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
+
+
+def spy_on_integrate(monkeypatch):
+    """Record the end time of every protocol.integrate call."""
+    calls = []
+    real = protocol.integrate
+
+    def spy(initial, config, schedule, t_end, *args, **kwargs):
+        calls.append(float(t_end))
+        return real(initial, config, schedule, t_end, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "integrate", spy)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# scan-and-refine search
+
+
+def two_wells(x):
+    """A broad shallow well at 0.7 and a narrow deep one at 1.0."""
+    return (-0.5 * math.exp(-(((x - 0.7) / 0.2) ** 2))
+            - math.exp(-(((x - 1.0) / 0.005) ** 2)))
+
+
+class TestScanAndRefine:
+    def test_grid_point_wins_over_a_worse_refinement(self):
+        grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        # golden section on the bracket [0.5, 1.5] slides into the broad well
+        x_golden, f_golden = _golden_min(two_wells, 0.5, 1.5, 1e-6)
+        assert x_golden == pytest.approx(0.7, abs=1e-3)
+        x, f = _scan_and_refine(two_wells, grid, 1e-6)
+        assert x == 1.0
+        assert f == two_wells(1.0) < f_golden
+
+    def test_refinement_wins_on_one_well(self):
+        grid = np.arange(0.0, 2.0001, 0.25)
+        x, f = _scan_and_refine(lambda x: (x - 0.8) ** 2, grid, 1e-8)
+        assert x == pytest.approx(0.8, abs=1e-6)
+        assert f < 1e-10
+
+    def test_batch_scan_supplies_the_grid_values(self):
+        grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        seen = []
+
+        def scan(g):
+            seen.append(g)
+            return [two_wells(float(t)) for t in g]
+
+        x, _ = _scan_and_refine(two_wells, grid, 1e-6, scan)
+        assert x == 1.0
+        assert len(seen) == 1 and seen[0] is grid
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +152,23 @@ class TestFirstPassage:
     def test_lowest_usable_sector_warns(self):
         with pytest.warns(UserWarning):
             first_passage(2, REF, CONSTANT_SCHEDULE)
+
+    def test_resonant_search_integrates_only_the_reported_pass(self, monkeypatch):
+        calls = spy_on_integrate(monkeypatch)
+        report = first_passage(3, REF, CouplingSchedule(mode="bump", t_tof=8.0))
+        assert calls == [report.exit_time]
+
+    def test_detuned_search_integrates(self, monkeypatch):
+        calls = spy_on_integrate(monkeypatch)
+        cfg = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0),
+                           delta12=1e-3, delta23=-1e-3)
+        report = first_passage(3, cfg, CONSTANT_SCHEDULE)
+        # one batched grid scan, the golden probes, then the reported pass
+        assert len(calls) > 3
+        assert calls[-1] == report.exit_time
+        assert report.exit_time == pytest.approx(
+            first_passage(3, REF, CONSTANT_SCHEDULE).exit_time, abs=0.05
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +232,25 @@ class TestFindTofForCat:
         three = FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
         with pytest.raises(ValidationError):
             find_tof_for_cat(three, REF, window=(1.0, 2.0))
+
+    def test_resonant_search_never_integrates(self, monkeypatch):
+        calls = spy_on_integrate(monkeypatch)
+        ref = REFERENCE_CATS[2]
+        field = two_fock_field(ref.m1, ref.m2, math.pi / 4)
+        window = (0.85 * ref.t_tof, 1.15 * ref.t_tof)
+        found = find_tof_for_cat(field, REF, target=1.0, window=window, na=2)
+        assert calls == []
+        assert window[0] <= found.t_tof <= window[1]
+
+    def test_detuned_search_integrates_every_candidate(self, monkeypatch):
+        calls = spy_on_integrate(monkeypatch)
+        field = two_fock_field(1, 3, math.pi / 4)
+        window = (1.0, 1.3)
+        found = find_tof_for_cat(field, DETUNED, target=1.0, window=window)
+        candidates = np.arange(window[0], window[1] + SCAN_STEP / 2, SCAN_STEP)
+        assert calls[:len(candidates)] == [float(t) for t in candidates]
+        assert len(calls) > len(candidates)      # the golden refinement
+        assert window[0] <= found.t_tof <= window[1]
 
     def test_window_validation(self):
         field = two_fock_field(1, 3, math.pi / 4)
