@@ -45,6 +45,7 @@ from .analytic_core import (
 from .dynamics import (
     CouplingSchedule,
     ExactPropagator,
+    FlightPropagator,
     IntegratorStats,
     SystemState,
     Trajectory,

@@ -96,8 +96,12 @@ def _emit(
     text: str,
     grid: Optional[GridSpec],
     started: float,
+    extra: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Send a single data file to --out (with manifest) or stdout."""
+    """Send a single data file to --out (with manifest) or stdout.
+
+    ``extra`` entries join the command-line parameters in the manifest.
+    """
     if args.out is None:
         sys.stdout.write(text)
         return
@@ -112,7 +116,7 @@ def _emit(
         }
     RunManifest(
         command=args.command,
-        parameters=_manifest_params(args),
+        parameters=dict(_manifest_params(args), **(extra or {})),
         version=__version__,
         grid=grid_dict,
         outputs=[out.name],
@@ -339,6 +343,11 @@ def _cmd_protocol(args) -> int:
     config = _config_from(args)
     if config.mu12 == 0 and config.mu23 == 0:
         config = reference_config()
+        print(
+            "note: mu12 = mu23 = 0, using the reference configuration "
+            f"(xi, mu12 = {config.mu12}, mu23 = {config.mu23})",
+            file=sys.stderr,
+        )
     first = PassSpec(
         schedule=CouplingSchedule(mode="bump", t_tof=args.t_tof_first)
     )
@@ -376,7 +385,9 @@ def _cmd_protocol(args) -> int:
             "max_residual": rep.symmetry.max_residual,
             "final_entropy": float(rep.entropies[-1]),
         })
-    _emit(args, json.dumps(payload, indent=2) + "\n", None, started)
+    used = dict(dataclasses.asdict(config), kind=config.kind.value)
+    _emit(args, json.dumps(payload, indent=2) + "\n", None, started,
+          extra={"config_used": used})
     return 0
 
 

@@ -14,7 +14,9 @@ Hamiltonian, so a multi-sector state integrates as independent runs.
 
 For resonant sectors (all bare energies equal) the interaction-picture
 generator commutes with itself at all times, and :class:`ExactPropagator`
-gives the state in closed form from the pulse area of the envelope.
+gives the state in closed form from the pulse area of the envelope.  For
+full bump passes of any configuration, :class:`FlightPropagator` joins two
+precomputed ramp propagators by the exact plateau between them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .hilbert import AtomicConfig, BasisState, Kind, SectorBasis, build_sector_b
 __all__ = [
     "CouplingSchedule",
     "ExactPropagator",
+    "FlightPropagator",
     "SystemState",
     "Trajectory",
     "IntegratorStats",
@@ -333,6 +336,24 @@ _DP_E = np.array(
 )
 
 
+# (weight, stage) pairs with the exact-zero weights left out.  The last row
+# of _DP_A equals the first six 5th-order weights and _DP_B5[6] is 0, so the
+# input of the 7th stage is the 5th-order solution itself.
+_DP_A_TERMS = [
+    [(float(a), j) for j, a in enumerate(row) if a != 0.0] for row in _DP_A
+]
+_DP_E_TERMS = [(float(e), j) for j, e in enumerate(_DP_E) if e != 0.0]
+
+
+def _combine(terms, ks):
+    """sum(w * ks[j]) accumulated left to right, as ``sum`` would."""
+    (w0, j0), *rest = terms
+    acc = w0 * ks[j0]
+    for w, j in rest:
+        acc += w * ks[j]
+    return acc
+
+
 @dataclass
 class IntegratorStats:
     steps: int = 0
@@ -399,12 +420,10 @@ def integrate_ode(
 
         ks[0] = k1
         for i in range(1, 7):
-            yi = y + h_try * sum(
-                _DP_A[i][j] * ks[j] for j in range(i)
-            )
+            yi = y + h_try * _combine(_DP_A_TERMS[i], ks)
             ks[i] = f(t + _DP_C[i] * h_try, yi)
-        y5 = y + h_try * sum(_DP_B5[i] * ks[i] for i in range(7))
-        err = h_try * sum(_DP_E[i] * ks[i] for i in range(7))
+        y5 = yi   # the last stage input is the 5th-order solution (FSAL)
+        err = h_try * _combine(_DP_E_TERMS, ks)
 
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
         err_norm = math.sqrt(float(np.mean(np.abs(err / sc) ** 2)))
@@ -456,6 +475,23 @@ class Trajectory:
         return self.snapshots[i]
 
 
+def _interaction_rhs(
+    e: np.ndarray,
+    h_base: np.ndarray,
+    envelope: Callable[[float], float],
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """dphi/dt = -i f(t) e^{iEt} H_int e^{-iEt} phi in the interaction picture.
+
+    ``e`` holds the bare energies of the basis; with shape (n, 1) instead
+    of (n,) the derivative acts on every column of an (n, k) matrix.
+    """
+    def rhs(t, phi):
+        ph = np.exp(-1j * e * t)
+        return (-1j * envelope(t)) * (ph.conj() * (h_base @ (ph * phi)))
+
+    return rhs
+
+
 def integrate(
     initial: SystemState,
     config: AtomicConfig,
@@ -492,12 +528,7 @@ def integrate(
     for m, (basis, amps) in initial.sectors.items():
         e = np.array([diagonal_energy(s, config) for s in basis.states])
         h_base = interaction_matrix(config, basis, schedule.couplings(config))
-        env = schedule.envelope
-
-        def rhs(t, phi, e=e, h_base=h_base, env=env):
-            ph = np.exp(-1j * e * t)
-            return (-1j * env(t)) * (ph.conj() * (h_base @ (ph * phi)))
-
+        rhs = _interaction_rhs(e, h_base, schedule.envelope)
         samples, st = integrate_ode(rhs, amps, 0.0, t_end, tol, grid)
         n0 = float(np.linalg.norm(amps))
         drift = max(abs(float(np.linalg.norm(y)) - n0) for _, y in samples)
@@ -603,4 +634,69 @@ class ExactPropagator:
         return SystemState(sectors={
             m: (basis, np.exp(-1j * e0 * t) * (v @ (np.exp(-1j * area * lam) * c0)))
             for m, (basis, e0, lam, v, c0) in self._sectors.items()
+        })
+
+
+# ------------------------------------------------------------------
+# full bump passes of any configuration
+# ------------------------------------------------------------------
+
+class FlightPropagator:
+    """Exit states of full bump passes of duration t_tof >= 2, any detuning.
+
+    For t_tof >= 2 the Schrodinger-picture Hamiltonian diag(E) + f(t) H_int
+    has the entry ramp f = smoothstep(t) on [0, 1], the plateau f = 1 up to
+    t_tof - 1 and the mirrored exit ramp, so
+
+        psi(t_tof) = U_exit V exp(-i lam (t_tof - 2)) V^dag U_entry psi(0)
+
+    with diag(E) + H_int = V diag(lam) V^dag.  Neither ramp propagator
+    depends on t_tof, and because the Hamiltonian is real symmetric the
+    exit ramp, the time reverse of the entry ramp, has U_exit = U_entry^T.
+    Each sector is diagonalised once and its entry ramp integrated once
+    (DP45 at DEFAULT_TOL, all basis states at once); every exit state then
+    costs one phase multiply and one matrix-vector product.
+
+    Raises ValidationError for the literal envelope, which has no plateau,
+    and, from :meth:`exit_state`, for t_tof < 2, where the ramps overlap.
+    """
+
+    def __init__(
+        self,
+        initial: SystemState,
+        config: AtomicConfig,
+        *,
+        literal_envelope: bool = False,
+    ):
+        if literal_envelope:
+            raise ValidationError(
+                "the flight propagator needs the smooth envelope, "
+                "not literal_envelope=True"
+            )
+        # on [0, 1] the envelope of the shortest full bump is the entry ramp
+        ramp = CouplingSchedule(mode="bump", t_tof=2.0)
+        self._sectors = {}
+        for m, (basis, amps) in initial.sectors.items():
+            e = np.array([diagonal_energy(s, config) for s in basis.states])
+            h = interaction_matrix(config, basis)
+            rhs = _interaction_rhs(e[:, None], h, ramp.envelope)
+            [(_, phi)], _ = integrate_ode(
+                rhs, np.eye(len(basis)), 0.0, 1.0, DEFAULT_TOL, [1.0]
+            )
+            u_entry = np.exp(-1j * e)[:, None] * phi
+            lam, v = np.linalg.eigh(np.diag(e) + h)
+            # U_exit V, and the plateau coefficients V^dag U_entry psi(0)
+            self._sectors[m] = (
+                basis, lam, u_entry.T @ v, v.conj().T @ (u_entry @ amps)
+            )
+
+    def exit_state(self, t_tof: float) -> SystemState:
+        """Physical amplitudes at the end of a bump pass of ``t_tof`` >= 2."""
+        if t_tof < 2.0:
+            raise ValidationError(
+                f"the ramps of a bump with t_tof = {t_tof} < 2 overlap"
+            )
+        return SystemState(sectors={
+            m: (basis, u_out @ (np.exp(-1j * (t_tof - 2.0) * lam) * c_in))
+            for m, (basis, lam, u_out, c_in) in self._sectors.items()
         })

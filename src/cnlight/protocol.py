@@ -29,6 +29,7 @@ from .analytic_core import switching_time
 from .dynamics import (
     CouplingSchedule,
     ExactPropagator,
+    FlightPropagator,
     SystemState,
     Trajectory,
     ground_product_state,
@@ -422,9 +423,12 @@ def find_tof_for_cat(
     flight minimizing the population outside the two target photon
     numbers (drained lower component, preserved upper), then refines by
     golden section.  On a resonant configuration every candidate is
-    evaluated in closed form (:class:`ExactPropagator`), otherwise it is
-    integrated from t = 0.  Raises TargetUnreachableError (with the best
-    point attached) if the achieved leakage stays above ``target``.
+    evaluated in closed form (:class:`ExactPropagator`).  On a detuned one
+    a candidate t_tof >= 2 joins two precomputed ramp propagators by the
+    exact plateau (:class:`FlightPropagator`), and a shorter one, whose
+    ramps overlap, is integrated from t = 0.  Raises
+    TargetUnreachableError (with the best point attached) if the achieved
+    leakage stays above ``target``.
     """
     c = _pure_amplitudes(field)
     support = [nu for nu in range(c.size) if abs(c[nu]) > 1e-12]
@@ -440,25 +444,30 @@ def find_tof_for_cat(
     if not 0 < w0 < w1:
         raise ValidationError(f"bad search window ({w0}, {w1})")
 
+    candidates = np.arange(w0, w1 + SCAN_STEP / 2, SCAN_STEP)
+    # the last step may land up to SCAN_STEP / 2 past the window: drop it
+    # unless it is past by roundoff only
+    candidates = candidates[candidates <= w1 + 1e-9 * SCAN_STEP]
     exact = _exact_propagator(
         state, config, CouplingSchedule(mode="bump", t_tof=w0)
     )
-    if exact is not None:
-        def exit_state(t: float) -> SystemState:
+    flight = None
+    if exact is None and candidates[-1] >= 2.0:
+        flight = FlightPropagator(state, config)
+
+    def exit_state(t: float) -> SystemState:
+        if exact is not None:
             return exact.with_flight_time(t).state_at(t)
-    else:
-        def exit_state(t: float) -> SystemState:
-            schedule = CouplingSchedule(mode="bump", t_tof=t)
-            traj = integrate(
-                state, config, schedule, t, tol=SCAN_TOL, n_snapshots=4
-            )
-            return traj.snapshots[-1]
+        if flight is not None and t >= 2.0:
+            return flight.exit_state(t)
+        schedule = CouplingSchedule(mode="bump", t_tof=t)
+        traj = integrate(state, config, schedule, t, tol=SCAN_TOL, n_snapshots=4)
+        return traj.snapshots[-1]
 
     def leakage_at(t: float) -> float:
         probs = photon_probabilities(reduce_field(exit_state(t)))
         return float(1.0 - probs[nu_lo] - probs[m2])
 
-    candidates = np.arange(w0, w1 + SCAN_STEP / 2, SCAN_STEP)
     t_best, leak_best = _scan_and_refine(leakage_at, candidates, 1e-5)
     if leak_best > target:
         raise TargetUnreachableError(

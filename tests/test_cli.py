@@ -183,6 +183,31 @@ def test_husimi_writes_file_and_manifest(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_protocol_without_couplings_says_it_uses_the_reference(tmp_path, capsys):
+    out = tmp_path / "proto.json"
+    argv = ["protocol", "--nu0", "3", "--passes", "0", "--out", str(out)]
+    assert run_command(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "reference configuration" in err[0]
+    manifest = json.loads((tmp_path / "proto.manifest.json").read_text())
+    assert manifest["parameters"]["mu12"] == 0.0
+    used = manifest["parameters"]["config_used"]
+    assert used["kind"] == "xi"
+    assert used["mu12"] == 1.0
+    assert used["mu23"] == math.sqrt(2.0)
+
+
+def test_protocol_records_the_given_configuration(tmp_path, capsys):
+    out = tmp_path / "proto.json"
+    argv = ["protocol", "--config", "xi", "--mu12", "0.5", "--mu23", "0.7",
+            "--delta12", "0.1", "--nu0", "3", "--passes", "0", "--out", str(out)]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "proto.manifest.json").read_text())
+    used = manifest["parameters"]["config_used"]
+    assert (used["mu12"], used["mu23"], used["delta12"]) == (0.5, 0.7, 0.1)
+
+
 def test_animate_writes_frames(tmp_path, capsys):
     out = tmp_path / "frames"
     code = run_command(

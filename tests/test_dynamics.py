@@ -17,11 +17,18 @@ from scipy.linalg import expm
 
 from cnlight.analytic_core import evolve_ground_analytic
 from cnlight.dynamics import (
+    _DP_A,
+    _DP_A_TERMS,
+    _DP_B5,
+    _DP_E,
+    _DP_E_TERMS,
     CONSTANT_SCHEDULE,
     CouplingSchedule,
     ExactPropagator,
+    FlightPropagator,
     SystemState,
     Trajectory,
+    _combine,
     build_rhs,
     bump,
     diagonal_energy,
@@ -354,6 +361,22 @@ class TestIntegrateOde:
         with pytest.raises(StepSizeUnderflowError):
             integrate_ode(blow_up, np.ones(1, complex), 0.0, 1.0, 1e-10, [1.0])
 
+    def test_stage_combination_matches_sum(self):
+        # the left-to-right accumulation must be bit for bit what the plain
+        # sum over all seven weights gives
+        rng = np.random.default_rng(5)
+        ks = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(7)]
+        for i in range(1, 7):
+            want = sum(_DP_A[i][j] * ks[j] for j in range(i))
+            assert np.array_equal(_combine(_DP_A_TERMS[i], ks), want)
+        want = sum(_DP_E[i] * ks[i] for i in range(7))
+        assert np.array_equal(_combine(_DP_E_TERMS, ks), want)
+
+    def test_last_stage_input_is_the_fifth_order_solution(self):
+        # first-same-as-last: integrate_ode takes the 7th stage input as y5
+        assert np.array_equal(_DP_A[6], _DP_B5[:6])
+        assert _DP_B5[6] == 0.0
+
     def test_targets_outside_span_rejected(self):
         with pytest.raises(ValidationError):
             integrate_ode(
@@ -500,6 +523,10 @@ class TestExactPropagator:
     @example(kind=Kind.LAMBDA, na=4, m=3, mode="bump", t_tof=5.0, frac=0.9, seed=3)
     @example(kind=Kind.XI, na=3, m=4, mode="bump", t_tof=5.0, frac=0.5, seed=4)
     @example(kind=Kind.XI, na=2, m=1, mode="constant", t_tof=4.0, frac=1.0, seed=5)
+    # na = 5 and 6, with sectors of dimension up to 27
+    @example(kind=Kind.V, na=5, m=4, mode="bump", t_tof=4.5, frac=1.0, seed=6)
+    @example(kind=Kind.XI, na=6, m=4, mode="bump", t_tof=3.5, frac=0.7, seed=7)
+    @example(kind=Kind.LAMBDA, na=6, m=3, mode="constant", t_tof=2.5, frac=1.0, seed=8)
     def test_matches_integrator(self, kind, na, m, mode, t_tof, frac, seed):
         cfg, state = random_resonant_state(kind, na, m, seed)
         if mode == "bump":
@@ -568,3 +595,54 @@ class TestExactPropagator:
         prop = ExactPropagator(ground_product_state(REF, 3), REF, CONSTANT_SCHEDULE)
         with pytest.raises(ValidationError):
             prop.state_at(-0.1)
+
+
+# ---------------------------------------------------------------------------
+# full bump passes of detuned sectors
+
+
+def random_detuned_state(kind, na, m, deltas, seed):
+    """Config with the given detunings plus a random state on m and m + 2."""
+    cfg, state = random_resonant_state(kind, na, m, seed)
+    mus = {name: getattr(cfg, name) for name in _ALLOWED[kind]}
+    cfg = AtomicConfig(kind=kind, **mus, **dict(zip(_DETUNINGS[kind], deltas)))
+    return cfg, state
+
+
+class TestFlightPropagator:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 4),
+        m=st.integers(0, 4),
+        deltas=st.tuples(
+            st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+            st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+        ),
+        t_tof=st.floats(2.0, 8.0),
+        seed=st.integers(0, 2**16),
+    )
+    # the shortest full bump has no plateau at all
+    @example(kind=Kind.XI, na=1, m=3, deltas=(0.1, -0.05), t_tof=2.0, seed=1)
+    @example(kind=Kind.V, na=3, m=2, deltas=(0.0, 0.0), t_tof=2.0, seed=2)
+    @example(kind=Kind.LAMBDA, na=6, m=4, deltas=(0.3, -0.2), t_tof=6.5, seed=3)
+    @example(kind=Kind.XI, na=6, m=3, deltas=(-0.4, 0.25), t_tof=2.0, seed=4)
+    def test_matches_integrator(self, kind, na, m, deltas, t_tof, seed):
+        cfg, state = random_detuned_state(kind, na, m, deltas, seed)
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        want = integrate(state, cfg, sched, t_tof, tol=1e-11, n_snapshots=1)
+        got = FlightPropagator(state, cfg).exit_state(t_tof)
+        assert sorted(got.sectors) == sorted(state.sectors)
+        for mm, (_, amps) in want.snapshots[-1].sectors.items():
+            np.testing.assert_allclose(got.sectors[mm][1], amps, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("t_tof", [1.999, 1.0, 0.5])
+    def test_overlapping_ramps_are_refused(self, t_tof):
+        cfg, state = random_detuned_state(Kind.V, 1, 2, (0.2, 0.1), 10)
+        prop = FlightPropagator(state, cfg)
+        with pytest.raises(ValidationError):
+            prop.exit_state(t_tof)
+
+    def test_literal_envelope_is_refused(self):
+        with pytest.raises(ValidationError):
+            FlightPropagator(ground_product_state(REF, 3), REF, literal_envelope=True)

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from cnlight.analytic_core import evolve_ground_analytic
 from cnlight.dynamics import (
     CONSTANT_SCHEDULE,
+    SystemState,
     ground_product_state,
     integrate,
     make_superposition,
 )
 from cnlight.errors import ValidationError
-from cnlight.hilbert import AtomicConfig, Kind
+from cnlight.hilbert import AtomicConfig, Kind, build_sector_basis
 from cnlight.observables import (
     FieldDensityMatrix,
     HusimiGrid,
@@ -110,6 +111,43 @@ class TestReduceField:
         traj = integrate(state, REF, CONSTANT_SCHEDULE, 2.0, n_snapshots=4)
         for snap in traj.snapshots:
             assert reduce_field(snap).min_eigenvalue() > -1e-12
+
+
+_COUPLINGS = {
+    Kind.XI: ("mu12", "mu23"),
+    Kind.V: ("mu12", "mu13"),
+    Kind.LAMBDA: ("mu13", "mu23"),
+}
+
+
+def random_multi_sector_state(kind, na, ms, seed):
+    """Normalised random amplitudes on the sectors ``ms``."""
+    rng = np.random.default_rng(seed)
+    cfg = AtomicConfig(kind=kind, **{mu: 1.0 for mu in _COUPLINGS[kind]})
+    sectors = {}
+    for m in ms:
+        basis = build_sector_basis(cfg, na, m)
+        n = len(basis)
+        sectors[m] = (basis, rng.normal(size=n) + 1j * rng.normal(size=n))
+    norm = math.sqrt(sum(np.sum(np.abs(a) ** 2) for _, a in sectors.values()))
+    return SystemState(sectors={m: (b, a / norm) for m, (b, a) in sectors.items()})
+
+
+class TestReduceFieldProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 4),
+        ms=st.sets(st.integers(0, 6), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_is_a_density_matrix(self, kind, na, ms, seed):
+        state = random_multi_sector_state(kind, na, sorted(ms), seed)
+        rho = reduce_field(state).rho
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.trace(rho).imag) < 1e-14
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
 
 
 class TestEntropy:

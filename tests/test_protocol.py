@@ -252,6 +252,42 @@ class TestFindTofForCat:
         assert len(calls) > len(candidates)      # the golden refinement
         assert window[0] <= found.t_tof <= window[1]
 
+    def test_detuned_search_past_two_never_integrates(self, monkeypatch):
+        calls = spy_on_integrate(monkeypatch)
+        field = two_fock_field(1, 3, math.pi / 4)
+        window = (4.9, 6.6)
+        found = find_tof_for_cat(field, DETUNED, target=1.0, window=window)
+        assert calls == []
+        assert window[0] <= found.t_tof <= window[1]
+
+    def test_detuned_search_integrates_only_below_two(self, monkeypatch):
+        calls = spy_on_integrate(monkeypatch)
+        field = two_fock_field(1, 3, math.pi / 4)
+        window = (1.8, 2.2)
+        find_tof_for_cat(field, DETUNED, target=1.0, window=window)
+        candidates = np.arange(window[0], window[1] + SCAN_STEP / 2, SCAN_STEP)
+        below = [float(t) for t in candidates if t < 2.0]
+        assert 0 < len(below) < len(candidates)
+        assert calls[:len(below)] == below
+        assert all(t < 2.0 for t in calls)
+
+    @pytest.mark.parametrize("config", [REF, DETUNED], ids=["resonant", "detuned"])
+    def test_result_stays_inside_the_window(self, config):
+        # the leakage still falls at the window's end, and a 0.05 step from
+        # 4.0 lands at 5.35, past 5.33
+        field = two_fock_field(1, 3, math.pi / 4)
+        window = (4.0, 5.33)
+        found = find_tof_for_cat(field, config, target=1.0, window=window)
+        assert window[0] <= found.t_tof <= window[1]
+        assert found.t_tof > window[1] - SCAN_STEP
+
+    def test_detuned_search_leakage_matches_the_reported_pass(self):
+        # the search objective and the DP45 pass at the t_tof it found agree
+        field = two_fock_field(1, 3, math.pi / 4)
+        found = find_tof_for_cat(field, DETUNED, target=1.0, window=(4.9, 6.6))
+        report = subsequent_passage(field, DETUNED, found.t_tof)
+        assert found.leakage == pytest.approx(report.leakage, abs=1e-9)
+
     def test_window_validation(self):
         field = two_fock_field(1, 3, math.pi / 4)
         with pytest.raises(ValidationError):
