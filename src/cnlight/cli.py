@@ -341,10 +341,16 @@ def _cmd_symmetry(args) -> int:
 def _cmd_protocol(args) -> int:
     started = time.perf_counter()
     config = _config_from(args)
-    if config.mu12 == 0 and config.mu23 == 0:
+    if config.mu12 == config.mu13 == config.mu23 == 0:
+        # with no couplings at all, a xi run means the bundled reference;
+        # the reference is a xi atom, so any other kind is refused
+        if config.kind is not Kind.XI:
+            raise ValidationError(
+                f"{config.kind.value}-configuration needs a nonzero coupling"
+            )
         config = reference_config()
         print(
-            "note: mu12 = mu23 = 0, using the reference configuration "
+            "note: no couplings given, using the reference configuration "
             f"(xi, mu12 = {config.mu12}, mu23 = {config.mu23})",
             file=sys.stderr,
         )

@@ -657,22 +657,12 @@ class FlightPropagator:
     (DP45 at DEFAULT_TOL, all basis states at once); every exit state then
     costs one phase multiply and one matrix-vector product.
 
-    Raises ValidationError for the literal envelope, which has no plateau,
-    and, from :meth:`exit_state`, for t_tof < 2, where the ramps overlap.
+    The couplings are the configuration's own (unit scales, smooth
+    envelope).  :meth:`exit_state` raises ValidationError for t_tof < 2,
+    where the ramps overlap.
     """
 
-    def __init__(
-        self,
-        initial: SystemState,
-        config: AtomicConfig,
-        *,
-        literal_envelope: bool = False,
-    ):
-        if literal_envelope:
-            raise ValidationError(
-                "the flight propagator needs the smooth envelope, "
-                "not literal_envelope=True"
-            )
+    def __init__(self, initial: SystemState, config: AtomicConfig):
         # on [0, 1] the envelope of the shortest full bump is the entry ramp
         ramp = CouplingSchedule(mode="bump", t_tof=2.0)
         self._sectors = {}

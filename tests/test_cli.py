@@ -208,6 +208,30 @@ def test_protocol_records_the_given_configuration(tmp_path, capsys):
     assert (used["mu12"], used["mu23"], used["delta12"]) == (0.5, 0.7, 0.1)
 
 
+def test_protocol_runs_a_lambda_atom_as_given(tmp_path, capsys):
+    # mu12 = mu23 = 0 is a valid lambda atom once mu13 is set
+    out = tmp_path / "proto.json"
+    argv = ["protocol", "--config", "lambda", "--mu13", "1", "--nu0", "3",
+            "--passes", "0", "--out", str(out)]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "proto.manifest.json").read_text())
+    used = manifest["parameters"]["config_used"]
+    assert (used["kind"], used["mu12"], used["mu13"], used["mu23"]) == (
+        "lambda", 0.0, 1.0, 0.0)
+    # and its passes are refused for the lambda atom, not run on a xi one
+    argv[argv.index("--passes") + 1] = "1"
+    assert run_command(argv) == 2
+    assert "ladder" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["lambda", "v"])
+def test_protocol_without_couplings_refuses_other_kinds(kind, capsys):
+    argv = ["protocol", "--config", kind, "--nu0", "3", "--passes", "0"]
+    assert run_command(argv) == 2
+    assert "nonzero coupling" in capsys.readouterr().err
+
+
 def test_animate_writes_frames(tmp_path, capsys):
     out = tmp_path / "frames"
     code = run_command(

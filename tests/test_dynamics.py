@@ -642,7 +642,3 @@ class TestFlightPropagator:
         prop = FlightPropagator(state, cfg)
         with pytest.raises(ValidationError):
             prop.exit_state(t_tof)
-
-    def test_literal_envelope_is_refused(self):
-        with pytest.raises(ValidationError):
-            FlightPropagator(ground_product_state(REF, 3), REF, literal_envelope=True)
