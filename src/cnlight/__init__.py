@@ -1,7 +1,7 @@
 """cnlight: cyclic light states from three-level atoms in a cavity.
 
 Closed-form sector spectra and propagators, time-dependent dynamics under
-shaped coupling envelopes, field reductions with Husimi/symmetry
+a smooth coupling envelope, field reductions with Husimi/symmetry
 certification, and the multi-pass cat-generation protocol.
 """
 
@@ -49,7 +49,6 @@ from .dynamics import (
     IntegratorStats,
     SystemState,
     Trajectory,
-    build_rhs,
     bump,
     diagonal_energy,
     ground_product_state,

@@ -166,6 +166,10 @@ def _field_from(args: argparse.Namespace) -> FieldDensityMatrix:
     if args.nu1 is not None or args.nu2 is not None:
         if args.nu1 is None or args.nu2 is None:
             raise ValidationError("need both --nu1 and --nu2")
+        if min(args.nu1, args.nu2) < 0 or args.nu1 == args.nu2:
+            raise ValidationError(
+                "need two distinct non-negative photon numbers --nu1, --nu2"
+            )
         vec = np.zeros(max(args.nu1, args.nu2) + 1, dtype=complex)
         vec[args.nu1] = math.cos(args.theta)
         vec[args.nu2] = math.sin(args.theta) * np.exp(1j * args.xi_phase)
@@ -187,8 +191,11 @@ def _parse_grid(text: str) -> GridSpec:
         bits = part.split(":")
         if len(bits) != 3:
             raise ValidationError(f"bad grid axis {part!r}, want min:max:n")
-        lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
-        if n < 2 or hi <= lo:
+        try:
+            lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
+        except ValueError:
+            raise ValidationError(f"bad grid axis {part!r}, want min:max:n") from None
+        if n < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValidationError(f"bad grid axis {part!r}")
         return lo, hi, n
 
@@ -278,10 +285,7 @@ def _schedule_from(args) -> CouplingSchedule:
     if args.mode == "bump":
         if args.t_tof is None:
             raise ValidationError("bump mode needs --t-tof")
-        return CouplingSchedule(
-            mode="bump", t_tof=args.t_tof,
-            literal_envelope=getattr(args, "literal_envelope", False),
-        )
+        return CouplingSchedule(mode="bump", t_tof=args.t_tof)
     return CouplingSchedule(mode="constant")
 
 
@@ -397,10 +401,23 @@ def _cmd_protocol(args) -> int:
     return 0
 
 
+def _parse_rows(text: str) -> set:
+    """Row numbers 1..len(REFERENCE_CATS) from a comma-separated list."""
+    try:
+        rows = {int(r) for r in text.split(",")}
+    except ValueError:
+        raise ValidationError(f"bad --rows {text!r}, want e.g. 1,3") from None
+    if not rows <= set(range(1, len(REFERENCE_CATS) + 1)):
+        raise ValidationError(
+            f"bad --rows {text!r}: rows run from 1 to {len(REFERENCE_CATS)}"
+        )
+    return rows
+
+
 def _cmd_table1(args) -> int:
     started = time.perf_counter()
     config = reference_config()
-    wanted = {int(r) for r in args.rows.split(",")} if args.rows else {1, 2, 3}
+    wanted = _parse_rows(args.rows) if args.rows else {1, 2, 3}
     lines = ["m1,m2,delta_nu,t_tof,leakage,p0,p1,p2,p3,p4,p5"]
     for idx, ref in enumerate(REFERENCE_CATS, start=1):
         if idx not in wanted:
@@ -476,6 +493,8 @@ def _cmd_animate(args) -> int:
     t_end = args.t_end if args.t_end is not None else args.t_tof
     if t_end is None or t_end <= 0:
         raise ValidationError("need --t-end (or a bump --t-tof)")
+    if not args.dt > 0:
+        raise ValidationError(f"need --dt > 0, got {args.dt}")
     n_frames = max(int(round(t_end / args.dt)), 1)
     t_end = n_frames * args.dt
     traj = integrate(initial, config, schedule, t_end,
@@ -530,8 +549,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["constant", "bump"], default="constant")
     p.add_argument("--t-tof", type=float, default=None, dest="t_tof")
     p.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p.add_argument("--literal-envelope", action="store_true",
-                   dest="literal_envelope")
     p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--snapshots", type=int, default=200)
 

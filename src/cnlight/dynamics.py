@@ -1,4 +1,4 @@
-"""Sector matrices, coupling envelopes, and time-dependent integration.
+"""Sector matrices, the coupling envelope, and time-dependent integration.
 
 The solver works in the interaction picture: for a sector basis
 ``{|nu; na q r>}`` with diagonal energies ``E_a`` the coefficients obey
@@ -21,16 +21,15 @@ precomputed ramp propagators by the exact plateau between them.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import StepSizeUnderflowError, ValidationError
-from .hilbert import AtomicConfig, BasisState, Kind, SectorBasis, build_sector_basis
+from .hilbert import AtomicConfig, BasisState, SectorBasis, build_sector_basis
 
 __all__ = [
     "CouplingSchedule",
@@ -43,7 +42,6 @@ __all__ = [
     "interaction_elements",
     "interaction_matrix",
     "diagonal_energy",
-    "build_rhs",
     "integrate",
     "integrate_ode",
     "make_superposition",
@@ -75,7 +73,7 @@ def _smoothstep(x):
     return out
 
 
-def bump(t_tof: float, t, *, literal: bool = False):
+def bump(t_tof: float, t):
     """Smooth compactly supported coupling envelope on (0, t_tof).
 
     The envelope is a product of an entry ramp and an exit ramp, each a
@@ -85,36 +83,19 @@ def bump(t_tof: float, t, *, literal: bool = False):
     the plateau between the ramps, and each ramp integrates to exactly
     1/2, so the area under the envelope is t_tof - 1 for t_tof >= 2.
     For t_tof < 2 the two ramps overlap and the peak stays below 1.
-
-    ``literal=True`` instead evaluates the textbook expression
-
-        exp(-t_tof / (t (t_tof - t)))
-        / [(e^(-1/t) + e^(-1/(1-t))) (e^(-1/(t_tof-t)) + e^(-1/(1-t_tof+t)))]
-
-    on all of (0, t_tof).  Outside the two unit ramp windows the
-    denominator factors blow up and the profile collapses; it is kept
-    only for comparison.
+    The ramps are clamped because the textbook expression
+    exp(-t_tof / (t (t_tof - t))) / [(e^(-1/t) + e^(-1/(1-t)))
+    (e^(-1/(t_tof-t)) + e^(-1/(1-t_tof+t)))], evaluated on all of
+    (0, t_tof), collapses outside the two unit ramp windows.
 
     Accepts scalars or arrays; scalar in, scalar out.
     """
-    if t_tof <= 0:
+    if not t_tof > 0:
         raise ValidationError(f"need t_tof > 0, got {t_tof}")
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-
-    if not literal:
-        out = _smoothstep(t_arr) * _smoothstep(t_tof - t_arr)
-    else:
-        out = np.zeros_like(t_arr)
-        inside = (t_arr > 0.0) & (t_arr < t_tof)
-        ti = t_arr[inside]
-        with np.errstate(over="ignore", divide="ignore"):
-            num = np.exp(-t_tof / (ti * (t_tof - ti)))
-            d1 = np.exp(-1.0 / ti) + np.exp(-1.0 / (1.0 - ti))
-            d2 = np.exp(-1.0 / (t_tof - ti)) + np.exp(-1.0 / (1.0 - t_tof + ti))
-            val = num / (d1 * d2)
-        out[inside] = np.nan_to_num(val, nan=0.0, posinf=0.0, neginf=0.0)
+    out = _smoothstep(t_arr) * _smoothstep(t_tof - t_arr)
     return float(out[0]) if scalar else out
 
 
@@ -123,37 +104,24 @@ class CouplingSchedule:
     """Time profile of the matter-field couplings.
 
     The instantaneous coupling of pair (i, j) is
-    ``config.mu_ij * scale_ij * envelope(t)`` where the envelope is 1 in
-    ``constant`` mode and :func:`bump` in ``bump`` mode.  The scales let a
-    caller reuse one configuration while reshaping the pulse.
+    ``config.mu_ij * envelope(t)`` where the envelope is 1 in ``constant``
+    mode and :func:`bump` in ``bump`` mode.
     """
 
     mode: str = "constant"
     t_tof: float = 0.0
-    scale12: float = 1.0
-    scale13: float = 1.0
-    scale23: float = 1.0
-    literal_envelope: bool = False
 
     def __post_init__(self):
         if self.mode not in ("constant", "bump"):
             raise ValidationError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "bump" and self.t_tof <= 0:
+        if self.mode == "bump" and not self.t_tof > 0:
             raise ValidationError("bump schedule needs t_tof > 0")
 
     def envelope(self, t):
         if self.mode == "constant":
             t_arr = np.asarray(t, dtype=float)
             return 1.0 if t_arr.ndim == 0 else np.ones_like(t_arr)
-        return bump(self.t_tof, t, literal=self.literal_envelope)
-
-    def couplings(self, config: AtomicConfig) -> Tuple[float, float, float]:
-        """Peak couplings (mu12, mu13, mu23) with scales applied."""
-        return (
-            config.mu12 * self.scale12,
-            config.mu13 * self.scale13,
-            config.mu23 * self.scale23,
-        )
+        return bump(self.t_tof, t)
 
 
 CONSTANT_SCHEDULE = CouplingSchedule(mode="constant")
@@ -163,32 +131,19 @@ CONSTANT_SCHEDULE = CouplingSchedule(mode="constant")
 # sector matrices
 # ------------------------------------------------------------------
 
-_ALLOWED_PAIRS = {
-    Kind.XI: ("mu12", "mu23"),
-    Kind.V: ("mu12", "mu13"),
-    Kind.LAMBDA: ("mu13", "mu23"),
-}
-
-
 def interaction_elements(
-    b1: BasisState,
-    b2: BasisState,
-    config: AtomicConfig,
-    envelopes: Optional[Tuple[float, float, float]] = None,
+    b1: BasisState, b2: BasisState, config: AtomicConfig
 ) -> complex:
     """Matrix element <b1| H_int |b2> for collective 3-level atoms.
 
-    ``envelopes`` are the instantaneous couplings (mu12, mu13, mu23); they
-    default to the configuration's values.  With level populations
-    ``(n1, n2, n3) = (r, q-r, na-q)`` the photon-creating half of pair
-    (i, j) carries sqrt((nu+1) * n_j * (n_i + 1)) and the conjugate half
-    sqrt(nu * n_i * (n_j + 1)), everything scaled by -mu_ij / sqrt(na).
+    With level populations ``(n1, n2, n3) = (r, q-r, na-q)`` the
+    photon-creating half of pair (i, j) carries sqrt((nu+1) * n_j * (n_i + 1))
+    and the conjugate half sqrt(nu * n_i * (n_j + 1)), everything scaled by
+    -mu_ij / sqrt(na).
     """
     if b1.na != b2.na:
         raise ValidationError("matrix elements need a common atom number")
-    mu12, mu13, mu23 = envelopes if envelopes is not None else (
-        config.mu12, config.mu13, config.mu23
-    )
+    mu12, mu13, mu23 = config.mu12, config.mu13, config.mu23
     na = b2.na
     nu, q, r = b2.nu, b2.q, b2.r
     dnu, dq, dr = b1.nu - nu, b1.q - q, b1.r - r
@@ -209,18 +164,14 @@ def interaction_elements(
     return complex(-val / math.sqrt(na))
 
 
-def interaction_matrix(
-    config: AtomicConfig,
-    basis: SectorBasis,
-    envelopes: Optional[Tuple[float, float, float]] = None,
-) -> np.ndarray:
+def interaction_matrix(config: AtomicConfig, basis: SectorBasis) -> np.ndarray:
     """Dense H_int on a sector basis (Hermitian, zero diagonal)."""
     n = len(basis)
     h = np.zeros((n, n), dtype=complex)
     for i, bi in enumerate(basis.states):
         for j, bj in enumerate(basis.states):
             if i != j:
-                h[i, j] = interaction_elements(bi, bj, config, envelopes)
+                h[i, j] = interaction_elements(bi, bj, config)
     return h
 
 
@@ -228,22 +179,6 @@ def diagonal_energy(s: BasisState, config: AtomicConfig) -> float:
     """Bare energy nu*Omega + omega21*(q-r) + omega31*(na-q), omega1 = 0."""
     _, w2, w3 = config.level_frequencies
     return s.nu * config.omega + w2 * (s.q - s.r) + w3 * (s.na - s.q)
-
-
-def build_rhs(
-    config: AtomicConfig,
-    basis: SectorBasis,
-    schedule: CouplingSchedule,
-    t: float,
-) -> np.ndarray:
-    """Interaction-picture derivative matrix W(t), so dphi/dt = W(t) phi."""
-    if len(basis) == 0:
-        raise ValidationError("empty sector basis")
-    h = interaction_matrix(config, basis, schedule.couplings(config))
-    h *= schedule.envelope(t)
-    e = np.array([diagonal_energy(s, config) for s in basis.states])
-    phases = np.exp(1j * t * (e[:, None] - e[None, :]))
-    return -1j * phases * h
 
 
 # ------------------------------------------------------------------
@@ -508,8 +443,12 @@ def integrate(
     uniform grid of ``n_snapshots`` intervals merged with any explicitly
     requested ``snapshot_times``.
     """
-    if t_end <= 0:
-        raise ValidationError(f"need t_end > 0, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ValidationError(f"need a finite t_end > 0, got {t_end}")
+    if not tol > 0:
+        raise ValidationError(f"need tol > 0, got {tol}")
+    if n_snapshots < 1:
+        raise ValidationError(f"need n_snapshots >= 1, got {n_snapshots}")
     if abs(initial.norm() - 1.0) > 1e-9:
         raise ValidationError(
             f"initial state must be normalized, |norm-1| = "
@@ -527,7 +466,7 @@ def integrate(
     per_sector: Dict[int, list] = {}
     for m, (basis, amps) in initial.sectors.items():
         e = np.array([diagonal_energy(s, config) for s in basis.states])
-        h_base = interaction_matrix(config, basis, schedule.couplings(config))
+        h_base = interaction_matrix(config, basis)
         rhs = _interaction_rhs(e, h_base, schedule.envelope)
         samples, st = integrate_ode(rhs, amps, 0.0, t_end, tol, grid)
         n0 = float(np.linalg.norm(amps))
@@ -588,23 +527,12 @@ class ExactPropagator:
     exactly.  Each sector is diagonalised once; every later time costs one
     quadrature of the envelope and one phase multiply.
 
-    Raises ValidationError outside that domain: for a sector whose bare
-    energies differ (any nonzero detuning), and for the literal envelope,
-    which is kept only for comparison and left to the integrator.
+    The couplings fix the eigenbasis, so one propagator serves every
+    schedule.  Raises ValidationError outside its domain: for a sector whose
+    bare energies differ (any nonzero detuning).
     """
 
-    def __init__(
-        self,
-        initial: SystemState,
-        config: AtomicConfig,
-        schedule: CouplingSchedule,
-    ):
-        if schedule.literal_envelope:
-            raise ValidationError(
-                "the exact propagator needs the smooth envelope, "
-                "not literal_envelope=True"
-            )
-        self.schedule = schedule
+    def __init__(self, initial: SystemState, config: AtomicConfig):
         self._sectors = {}
         for m, (basis, amps) in initial.sectors.items():
             e = np.array([diagonal_energy(s, config) for s in basis.states])
@@ -613,24 +541,14 @@ class ExactPropagator:
                     f"sector {m} is detuned: its bare energies span "
                     f"{float(np.ptp(e)):.3g}"
                 )
-            h = interaction_matrix(config, basis, schedule.couplings(config))
-            lam, v = np.linalg.eigh(h)
+            lam, v = np.linalg.eigh(interaction_matrix(config, basis))
             self._sectors[m] = (basis, float(e[0]), lam, v, v.conj().T @ amps)
 
-    def with_flight_time(self, t_tof: float) -> "ExactPropagator":
-        """The same state and couplings under a bump of duration ``t_tof``.
-
-        The couplings fix the eigenbasis, so nothing is diagonalised again.
-        """
-        other = copy.copy(self)
-        other.schedule = replace(self.schedule, mode="bump", t_tof=t_tof)
-        return other
-
-    def state_at(self, t: float) -> SystemState:
-        """Physical amplitudes at time ``t`` >= 0."""
+    def state_at(self, t: float, schedule: CouplingSchedule) -> SystemState:
+        """Physical amplitudes at time ``t`` >= 0 under ``schedule``."""
         if t < 0:
             raise ValidationError(f"need t >= 0, got {t}")
-        area = _pulse_area(self.schedule, t)
+        area = _pulse_area(schedule, t)
         return SystemState(sectors={
             m: (basis, np.exp(-1j * e0 * t) * (v @ (np.exp(-1j * area * lam) * c0)))
             for m, (basis, e0, lam, v, c0) in self._sectors.items()
@@ -656,10 +574,8 @@ class FlightPropagator:
     Each sector is diagonalised once and its entry ramp integrated once
     (DP45 at DEFAULT_TOL, all basis states at once); every exit state then
     costs one phase multiply and one matrix-vector product.
-
-    The couplings are the configuration's own (unit scales, smooth
-    envelope).  :meth:`exit_state` raises ValidationError for t_tof < 2,
-    where the ramps overlap.
+    :meth:`exit_state` raises ValidationError for t_tof < 2, where the
+    ramps overlap.
     """
 
     def __init__(self, initial: SystemState, config: AtomicConfig):

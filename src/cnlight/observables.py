@@ -268,8 +268,11 @@ def detect_cyclic_symmetry(
     carries e^{i phi (nu - nu')}, so Q is invariant under rotation by
     2 pi / order exactly.  The residual is measured directly at exactly
     paired angles (no grid rotation, no interpolation) on a fixed random
-    sample, so identical inputs give identical reports.
+    sample, so identical inputs give identical reports.  Raises
+    ValidationError for ``tol < 0``.
     """
+    if not tol >= 0:
+        raise ValidationError(f"need tol >= 0, got {tol}")
     r = rho.rho
     n = r.shape[0]
     diffs = sorted({

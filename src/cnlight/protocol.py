@@ -184,11 +184,11 @@ def _scan_and_refine(
 
 
 def _exact_propagator(
-    state: SystemState, config: AtomicConfig, schedule: CouplingSchedule
+    state: SystemState, config: AtomicConfig
 ) -> Optional[ExactPropagator]:
     """The closed-form propagator when every sector is resonant, else None."""
     try:
-        return ExactPropagator(state, config, schedule)
+        return ExactPropagator(state, config)
     except ValidationError:
         return None
 
@@ -299,11 +299,11 @@ def first_passage(
         _, amps = state.sectors[nu0]
         return float(abs(amps[idx_mid]) ** 2)
 
-    exact = _exact_propagator(initial, config, schedule)
+    exact = _exact_propagator(initial, config)
     scan = None
     if exact is not None:
         def p_mid_at(t: float) -> float:
-            return p_mid(exact.state_at(t))
+            return p_mid(exact.state_at(t, schedule))
     else:
         def p_mid_at(t: float) -> float:
             traj = integrate(initial, config, schedule, t, n_snapshots=2)
@@ -374,7 +374,6 @@ def subsequent_passage(
     config: AtomicConfig,
     t_tof: float,
     na: int = 1,
-    tol: float = 1e-11,
 ) -> PassageReport:
     """Send a fresh ground-state atom (or na of them) through a pure field.
 
@@ -385,7 +384,7 @@ def subsequent_passage(
         raise ValidationError(f"need t_tof > 0, got {t_tof}")
     state = _state_from_field(field, config, na)
     schedule = CouplingSchedule(mode="bump", t_tof=t_tof)
-    traj = integrate(state, config, schedule, t_tof, tol=tol)
+    traj = integrate(state, config, schedule, t_tof)
     exit_state = traj.snapshots[-1]
     probs = photon_probabilities(reduce_field(exit_state))
 
@@ -448,19 +447,17 @@ def find_tof_for_cat(
     # the last step may land up to SCAN_STEP / 2 past the window: drop it
     # unless it is past by roundoff only
     candidates = candidates[candidates <= w1 + 1e-9 * SCAN_STEP]
-    exact = _exact_propagator(
-        state, config, CouplingSchedule(mode="bump", t_tof=w0)
-    )
+    exact = _exact_propagator(state, config)
     flight = None
     if exact is None and candidates[-1] >= 2.0:
         flight = FlightPropagator(state, config)
 
     def exit_state(t: float) -> SystemState:
+        schedule = CouplingSchedule(mode="bump", t_tof=t)
         if exact is not None:
-            return exact.with_flight_time(t).state_at(t)
+            return exact.state_at(t, schedule)
         if flight is not None and t >= 2.0:
             return flight.exit_state(t)
-        schedule = CouplingSchedule(mode="bump", t_tof=t)
         traj = integrate(state, config, schedule, t, tol=SCAN_TOL, n_snapshots=4)
         return traj.snapshots[-1]
 

@@ -41,7 +41,42 @@ def test_bump_without_t_tof_exits_2(capsys):
 
 
 def test_bad_grid_exits_2(capsys):
-    assert run_command(["husimi", "--nu0", "0", "--grid", "oops"]) == 2
+    for grid in ("oops", "-6:6:2.5", "a:6:20", "6:-6:20", "-6:nan:20", "-6:6:1"):
+        assert run_command(["husimi", "--nu0", "0", f"--grid={grid}"]) == 2, grid
+        assert "bad grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", *XI_REF, "--nu0", "3", "--mode", "bump", "--t-tof", "2",
+         "--literal-envelope"],
+        ["evolve", *XI_REF, "--nu0", "3", "--t-end", "1", "--tol", "-1"],
+        ["evolve", *XI_REF, "--nu0", "3", "--t-end", "1", "--tol", "0"],
+        ["evolve", *XI_REF, "--nu0", "3", "--t-end", "1", "--snapshots", "-1"],
+        ["evolve", *XI_REF, "--nu0", "3", "--t-end", "1", "--snapshots", "0"],
+        ["evolve", *XI_REF, "--nu0", "3", "--t-end", "inf", "--snapshots", "2"],
+        ["evolve", *XI_REF, "--nu0", "3", "--mode", "bump", "--t-tof", "nan"],
+        ["symmetry", "--nu1", "2", "--nu2", "7", "--tol", "-1"],
+        ["symmetry", "--nu1", "2", "--nu2", "-1"],
+        ["husimi", "--nu1", "3", "--nu2", "3", "--grid=-2:2:5"],
+        ["table1", "--rows", "x"],
+        ["table1", "--rows", "4"],
+        ["table1", "--rows", "0,1"],
+        ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4", "--dt", "0"],
+        ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4", "--dt", "-0.1"],
+        ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4", "--dt", "inf"],
+    ],
+    ids=[
+        "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
+        "t-end=inf", "t-tof=nan", "symmetry-tol<0", "nu2<0", "nu1=nu2",
+        "rows=x", "rows=4",
+        "rows=0", "dt=0", "dt<0", "dt=inf",
+    ],
+)
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    assert run_command([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_exit_search_exits_3(capsys):

@@ -317,3 +317,10 @@ class TestDetectCyclicSymmetry:
         assert report.order == 0  # below the coherence tolerance
         loose = detect_cyclic_symmetry(FieldDensityMatrix(rho=rho_mat), tol=1e-14)
         assert loose.order == 2
+
+    def test_negative_tolerance_is_refused(self):
+        # a negative tolerance would count every zero coherence as support
+        rho = reduce_field(make_superposition(2, 7, math.pi / 4, 0.6, 1, REF))
+        with pytest.raises(ValidationError):
+            detect_cyclic_symmetry(rho, tol=-1.0)
+        assert detect_cyclic_symmetry(rho, tol=0.0).order == 5
