@@ -276,6 +276,8 @@ def propagator(config: AtomicConfig, m: int, tau: float) -> PropagatorMatrix:
     U_I is complex symmetric (the interaction-picture generator is real
     symmetric), so only the upper triangle is written out.
     """
+    if not math.isfinite(tau):
+        raise ValidationError(f"propagator needs a finite tau, got {tau}")
     _require_condition(config)
     _require_sector(config, m)
     a, b = _coupling_pair(config, m)

@@ -170,6 +170,8 @@ def _field_from(args: argparse.Namespace) -> FieldDensityMatrix:
             raise ValidationError(
                 "need two distinct non-negative photon numbers --nu1, --nu2"
             )
+        if not (math.isfinite(args.theta) and math.isfinite(args.xi_phase)):
+            raise ValidationError("need a finite --theta and --xi-phase")
         vec = np.zeros(max(args.nu1, args.nu2) + 1, dtype=complex)
         vec[args.nu1] = math.cos(args.theta)
         vec[args.nu2] = math.sin(args.theta) * np.exp(1j * args.xi_phase)
@@ -208,15 +210,24 @@ def _parse_grid(text: str) -> GridSpec:
     raise ValidationError(f"bad grid spec {text!r}")
 
 
-def _grid_csv(values: np.ndarray, grid: GridSpec) -> str:
+def _grid_template(grid: GridSpec) -> str:
+    """CSV text of ``grid`` with a ``%.17g`` slot for each value, p-major.
+
+    The q and p columns are the same in every frame on one grid, so they
+    are formatted once here; ``"%.17g" % x`` gives the bytes of ``_fmt(x)``.
+    """
     (qmin, qmax, n_q), (pmin, pmax, n_p) = grid
-    qs = np.linspace(qmin, qmax, n_q)
-    ps = np.linspace(pmin, pmax, n_p)
-    lines = ["q,p,value"]
-    for i, p in enumerate(ps):
-        for j, q in enumerate(qs):
-            lines.append(f"{_fmt(q)},{_fmt(p)},{_fmt(values[i, j])}")
-    return "\n".join(lines) + "\n"
+    qs = [_fmt(q) for q in np.linspace(qmin, qmax, n_q)]
+    return "q,p,value\n" + "".join(
+        f"{q},{p},%.17g\n"
+        for p in map(_fmt, np.linspace(pmin, pmax, n_p))
+        for q in qs
+    )
+
+
+def _grid_csv(values: np.ndarray, template: str) -> str:
+    """Fill a ``_grid_template`` with values[i_p, i_q]."""
+    return template % tuple(values.ravel().tolist())
 
 
 # ------------------------------------------------------------------
@@ -317,7 +328,7 @@ def _cmd_husimi(args) -> int:
     grid = _parse_grid(args.grid)
     field = _field_from(args)
     hg = husimi(field, grid)
-    _emit(args, _grid_csv(hg.values, grid), grid, started)
+    _emit(args, _grid_csv(hg.values, _grid_template(grid)), grid, started)
     return 0
 
 
@@ -344,6 +355,8 @@ def _cmd_symmetry(args) -> int:
 
 def _cmd_protocol(args) -> int:
     started = time.perf_counter()
+    if not math.isfinite(args.t_tof_ref):
+        raise ValidationError(f"need a finite --t-tof-ref, got {args.t_tof_ref}")
     config = _config_from(args)
     if config.mu12 == config.mu13 == config.mu23 == 0:
         # with no couplings at all, a xi run means the bundled reference;
@@ -463,13 +476,14 @@ def export_frames(
     except OSError as exc:
         raise ValidationError(f"cannot create {out_dir}: {exc}") from exc
 
+    template = _grid_template(grid)
     paths: List[Path] = []
     frame_times: List[float] = []
     for k, i in enumerate(range(0, len(trajectory.snapshots), stride)):
         rho = reduce_field(trajectory.snapshots[i])
         hg = husimi(rho, grid)
         path = out_dir / f"husimi_{k:05d}.csv"
-        _write_atomic(path, _grid_csv(hg.values, grid))
+        _write_atomic(path, _grid_csv(hg.values, template))
         paths.append(path)
         frame_times.append(float(trajectory.times[i]))
 
@@ -495,11 +509,13 @@ def _cmd_animate(args) -> int:
         raise ValidationError("need --t-end (or a bump --t-tof)")
     if not args.dt > 0:
         raise ValidationError(f"need --dt > 0, got {args.dt}")
+    if args.stride < 1:
+        raise ValidationError("stride must be >= 1")
+    grid = _parse_grid(args.grid)
     n_frames = max(int(round(t_end / args.dt)), 1)
     t_end = n_frames * args.dt
     traj = integrate(initial, config, schedule, t_end,
                      tol=args.tol, n_snapshots=n_frames)
-    grid = _parse_grid(args.grid)
     export_frames(
         traj, grid, args.stride, Path(args.out),
         command="animate", parameters=_manifest_params(args), started=started,

@@ -53,6 +53,8 @@ class FieldDensityMatrix:
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValidationError(f"rho must be square, got shape {rho.shape}")
         object.__setattr__(self, "rho", rho)
+        if not np.all(np.isfinite(rho)):
+            raise ValidationError("rho has a non-finite entry")
         herm = float(np.max(np.abs(rho - rho.conj().T))) if rho.size else 0.0
         if herm > 1e-8:
             raise ValidationError(f"rho is not Hermitian (asymmetry {herm:.3g})")

@@ -218,6 +218,12 @@ def test_propagator_at_zero_is_identity():
     assert np.allclose(propagator(REF, 3, 0.0).u, np.eye(3), atol=1e-15)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_propagator_refuses_non_finite_tau(tau):
+    with pytest.raises(ValidationError, match="finite tau"):
+        propagator(REF, 3, tau)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_propagator_matches_matrix_exponential(kind):
     rng = np.random.default_rng(29)

@@ -6,10 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from cnlight.cli import run_command
+from cnlight import cli
+from cnlight.cli import _grid_csv, _grid_template, _parse_grid, run_command
+from cnlight.observables import FieldDensityMatrix, husimi, reduce_field
 
 SQRT2 = repr(math.sqrt(2.0))
 XI_REF = ["--config", "xi", "--mu12", "1", "--mu23", SQRT2]
+
+
+def reference_csv(values, grid):
+    """Husimi CSV one point at a time: q,p,value rows, p-major."""
+    (qmin, qmax, n_q), (pmin, pmax, n_p) = grid
+    lines = ["q,p,value"]
+    for i, p in enumerate(np.linspace(pmin, pmax, n_p)):
+        for j, q in enumerate(np.linspace(qmin, qmax, n_q)):
+            lines.append(f"{q:.17g},{p:.17g},{values[i, j]:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def run_csv(capsys, argv):
@@ -66,12 +78,18 @@ def test_bad_grid_exits_2(capsys):
         ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4", "--dt", "0"],
         ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4", "--dt", "-0.1"],
         ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4", "--dt", "inf"],
+        ["husimi", "--nu1", "0", "--nu2", "2", "--theta", "nan", "--grid=-1:1:3"],
+        ["symmetry", "--nu1", "0", "--nu2", "3", "--xi-phase", "nan"],
+        ["protocol", "--nu0", "3", "--passes", "2", "--t-tof-ref", "nan"],
+        ["propagate", *XI_REF, "--m", "3", "--tau", "nan"],
+        ["propagate", *XI_REF, "--m", "3", "--tau", "inf"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
         "t-end=inf", "t-tof=nan", "symmetry-tol<0", "nu2<0", "nu1=nu2",
         "rows=x", "rows=4",
         "rows=0", "dt=0", "dt<0", "dt=inf",
+        "theta=nan", "xi-phase=nan", "t-tof-ref=nan", "tau=nan", "tau=inf",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
@@ -211,6 +229,9 @@ def test_husimi_writes_file_and_manifest(tmp_path, capsys):
     assert manifest["grid"] == {"q": [-3.0, 3.0, 61], "p": [-3.0, 3.0, 61]}
     assert "out" not in manifest["parameters"]
     assert manifest["parameters"]["nu0"] == 0
+    vacuum = FieldDensityMatrix(rho=np.ones((1, 1)))
+    grid = _parse_grid("-3:3:61")
+    assert out.read_text() == reference_csv(husimi(vacuum, grid).values, grid)
 
     # replays are byte-identical
     first = out.read_bytes()
@@ -267,7 +288,26 @@ def test_protocol_without_couplings_refuses_other_kinds(kind, capsys):
     assert "nonzero coupling" in capsys.readouterr().err
 
 
-def test_animate_writes_frames(tmp_path, capsys):
+def test_grid_csv_matches_reference():
+    grid = _parse_grid("-1:1:3,-2:2:4")
+    values = np.array([
+        0.0, -0.0, 5e-324, 1.0 / 3.0, 1e300, -1.0 / 7.0,
+        0.1, 1e-17, 2.5, -3.0, 6.02e23, math.pi,
+    ]).reshape(4, 3)
+    text = _grid_csv(values, _grid_template(grid))
+    assert text == reference_csv(values, grid)
+    assert text.splitlines()[1:3] == ["-1,-2,0", "0,-2,-0"]
+
+
+def test_animate_writes_frames(tmp_path, monkeypatch, capsys):
+    trajectories = []
+    real_integrate = cli.integrate
+
+    def recording_integrate(*args, **kwargs):
+        trajectories.append(real_integrate(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
     out = tmp_path / "frames"
     code = run_command(
         ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4", "--dt", "0.1",
@@ -280,6 +320,28 @@ def test_animate_writes_frames(tmp_path, capsys):
     assert manifest["outputs"] == frames
     assert len(manifest["parameters"]["frame_times"]) == 5
     assert manifest["parameters"]["frame_times"][-1] == pytest.approx(0.4)
+
+    (traj,) = trajectories
+    grid = _parse_grid("-2:2:21")
+    for name, snapshot in zip(frames, traj.snapshots, strict=True):
+        expected = husimi(reduce_field(snapshot), grid).values
+        assert (out / name).read_text() == reference_csv(expected, grid), name
+
+
+@pytest.mark.parametrize(
+    "bad", [["--stride", "0"], ["--grid=-1:1:1"]], ids=["stride=0", "grid-n=1"]
+)
+def test_animate_checks_cheap_input_before_integrating(
+    bad, tmp_path, monkeypatch, capsys
+):
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append(a))
+    out = tmp_path / "frames"
+    argv = ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4", "--dt", "0.1",
+            *bad, "--out", str(out)]
+    assert run_command(argv) == 2
+    assert calls == []
+    assert not out.exists()
 
 
 def test_animate_stride_larger_than_trajectory(tmp_path, capsys):

@@ -61,6 +61,15 @@ class TestFieldDensityMatrix:
         with pytest.raises(ValidationError):
             FieldDensityMatrix(rho=0.7 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN passes both tolerance comparisons, so it needs its own check
+        diagonal = np.diag([bad, 1.0]).astype(complex)
+        off_diagonal = np.array([[0.5, bad], [np.conj(bad), 0.5]], dtype=complex)
+        for rho in (diagonal, off_diagonal):
+            with pytest.raises(ValidationError, match="non-finite"):
+                FieldDensityMatrix(rho=rho)
+
     def test_properties(self):
         rho = fock_projector(2, 4)
         assert rho.nu_max == 4
