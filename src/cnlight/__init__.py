@@ -44,9 +44,8 @@ from .analytic_core import (
 )
 from .dynamics import (
     CouplingSchedule,
-    ExactPropagator,
-    FlightPropagator,
     IntegratorStats,
+    SectorPropagator,
     SystemState,
     Trajectory,
     bump,

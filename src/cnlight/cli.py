@@ -161,30 +161,35 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--na", type=int, default=1)
 
 
+def _photon_numbers(args: argparse.Namespace) -> Tuple[int, ...]:
+    """The checked Fock components of the state flags: (nu1, nu2) or (nu0,)."""
+    if args.nu1 is None and args.nu2 is None:
+        nu0 = args.nu0 if args.nu0 is not None else 0
+        if nu0 < 0:
+            raise ValidationError("photon numbers are non-negative")
+        return (nu0,)
+    if args.nu1 is None or args.nu2 is None:
+        raise ValidationError("need both --nu1 and --nu2")
+    if min(args.nu1, args.nu2) < 0 or args.nu1 == args.nu2:
+        raise ValidationError(
+            "need two distinct non-negative photon numbers --nu1, --nu2"
+        )
+    if not (math.isfinite(args.theta) and math.isfinite(args.xi_phase)):
+        raise ValidationError("need a finite --theta and --xi-phase")
+    return args.nu1, args.nu2
+
+
 def _field_from(args: argparse.Namespace) -> FieldDensityMatrix:
     """Pure field state described by the state flags (no dynamics)."""
-    if args.nu1 is not None or args.nu2 is not None:
-        if args.nu1 is None or args.nu2 is None:
-            raise ValidationError("need both --nu1 and --nu2")
-        if min(args.nu1, args.nu2) < 0 or args.nu1 == args.nu2:
-            raise ValidationError(
-                "need two distinct non-negative photon numbers --nu1, --nu2"
-            )
-        if not (math.isfinite(args.theta) and math.isfinite(args.xi_phase)):
-            raise ValidationError("need a finite --theta and --xi-phase")
-        vec = np.zeros(max(args.nu1, args.nu2) + 1, dtype=complex)
-        vec[args.nu1] = math.cos(args.theta)
-        vec[args.nu2] = math.sin(args.theta) * np.exp(1j * args.xi_phase)
-        n = np.linalg.norm(vec)
-        if n == 0:
-            raise ValidationError("state flags describe the zero vector")
-        vec /= n
-        return FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
-    nu0 = args.nu0 if args.nu0 is not None else 0
-    if nu0 < 0:
-        raise ValidationError("photon numbers are non-negative")
-    vec = np.zeros(nu0 + 1, dtype=complex)
-    vec[nu0] = 1.0
+    photons = _photon_numbers(args)
+    vec = np.zeros(max(photons) + 1, dtype=complex)
+    if len(photons) == 1:
+        vec[photons[0]] = 1.0
+    else:
+        # a finite theta keeps the norm near 1, never 0
+        vec[photons[0]] = math.cos(args.theta)
+        vec[photons[1]] = math.sin(args.theta) * np.exp(1j * args.xi_phase)
+        vec /= np.linalg.norm(vec)
     return FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
 
 
@@ -284,12 +289,12 @@ def _cmd_propagate(args) -> int:
 
 
 def _make_initial(args, config: AtomicConfig):
-    if args.nu1 is not None and args.nu2 is not None:
+    photons = _photon_numbers(args)
+    if len(photons) == 2:
         return make_superposition(
-            args.nu1, args.nu2, args.theta, args.xi_phase, args.na, config
+            *photons, args.theta, args.xi_phase, args.na, config
         )
-    nu0 = args.nu0 if args.nu0 is not None else 0
-    return ground_product_state(config, nu0, na=args.na)
+    return ground_product_state(config, photons[0], na=args.na)
 
 
 def _schedule_from(args) -> CouplingSchedule:
@@ -300,15 +305,20 @@ def _schedule_from(args) -> CouplingSchedule:
     return CouplingSchedule(mode="constant")
 
 
+def _t_end_from(args) -> float:
+    """--t-end, or the bump's --t-tof when --t-end is not given."""
+    t_end = args.t_end if args.t_end is not None else args.t_tof
+    if t_end is None or not 0 < t_end < math.inf:
+        raise ValidationError("need a finite --t-end > 0 (or a bump --t-tof)")
+    return t_end
+
+
 def _cmd_evolve(args) -> int:
     started = time.perf_counter()
     config = _config_from(args)
     initial = _make_initial(args, config)
     schedule = _schedule_from(args)
-    t_end = args.t_end if args.t_end is not None else args.t_tof
-    if t_end is None or t_end <= 0:
-        raise ValidationError("need --t-end (or a bump --t-tof)")
-    traj = integrate(initial, config, schedule, t_end,
+    traj = integrate(initial, config, schedule, _t_end_from(args),
                      tol=args.tol, n_snapshots=args.snapshots)
     nu_max = max(initial.sectors)
     header = "time," + ",".join(f"p{n}" for n in range(nu_max + 1)) + ",entropy"
@@ -338,7 +348,7 @@ def _cmd_symmetry(args) -> int:
         config = _config_from(args)
         initial = _make_initial(args, config)
         schedule = _schedule_from(args)
-        traj = integrate(initial, config, schedule, args.t_end)
+        traj = integrate(initial, config, schedule, _t_end_from(args))
         field = reduce_field(traj.snapshots[-1])
     else:
         field = _field_from(args)
@@ -504,9 +514,7 @@ def _cmd_animate(args) -> int:
     config = _config_from(args)
     initial = _make_initial(args, config)
     schedule = _schedule_from(args)
-    t_end = args.t_end if args.t_end is not None else args.t_tof
-    if t_end is None or t_end <= 0:
-        raise ValidationError("need --t-end (or a bump --t-tof)")
+    t_end = _t_end_from(args)
     if not args.dt > 0:
         raise ValidationError(f"need --dt > 0, got {args.dt}")
     if args.stride < 1:

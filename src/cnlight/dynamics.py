@@ -12,11 +12,10 @@ symmetry of the field) come out right.
 Sectors never mix: the total excitation number commutes with the
 Hamiltonian, so a multi-sector state integrates as independent runs.
 
-For resonant sectors (all bare energies equal) the interaction-picture
-generator commutes with itself at all times, and :class:`ExactPropagator`
-gives the state in closed form from the pulse area of the envelope.  For
-full bump passes of any configuration, :class:`FlightPropagator` joins two
-precomputed ramp propagators by the exact plateau between them.
+Searches evaluate many states of one initial state; :class:`SectorPropagator`
+serves them in closed form for resonant sectors, by two precomputed ramp
+propagators joined by the exact plateau for the exit states of full bump
+passes, and by one integration otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +32,7 @@ from .hilbert import AtomicConfig, BasisState, SectorBasis, build_sector_basis
 
 __all__ = [
     "CouplingSchedule",
-    "ExactPropagator",
-    "FlightPropagator",
+    "SectorPropagator",
     "SystemState",
     "Trajectory",
     "IntegratorStats",
@@ -49,6 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-11
+SEARCH_TOL = 1e-9      # integration tolerance of search probes off the exact paths
 MIN_STEP = 1e-12
 GAUSS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the envelope
 
@@ -238,6 +237,8 @@ def make_superposition(
     """
     if nu1 == nu2:
         raise ValidationError("superposition needs two distinct photon numbers")
+    if not (math.isfinite(theta) and math.isfinite(xi)):
+        raise ValidationError(f"need a finite theta and xi, got {theta}, {xi}")
     weights = {nu1: complex(math.cos(theta)), nu2: math.sin(theta) * np.exp(1j * xi)}
     sectors: Dict[int, Tuple[SectorBasis, np.ndarray]] = {}
     for m in sorted(weights):
@@ -449,7 +450,7 @@ def integrate(
         raise ValidationError(f"need tol > 0, got {tol}")
     if n_snapshots < 1:
         raise ValidationError(f"need n_snapshots >= 1, got {n_snapshots}")
-    if abs(initial.norm() - 1.0) > 1e-9:
+    if not abs(initial.norm() - 1.0) <= 1e-9:   # NaN fails too
         raise ValidationError(
             f"initial state must be normalized, |norm-1| = "
             f"{abs(initial.norm() - 1.0):.3g}"
@@ -486,7 +487,7 @@ def integrate(
 
 
 # ------------------------------------------------------------------
-# exact propagation of resonant sectors
+# one propagator for every search
 # ------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=1)
@@ -514,95 +515,93 @@ def _pulse_area(schedule: CouplingSchedule, t: float) -> float:
     return float(half @ (np.reshape(f, (half.size, x.size)) @ w))
 
 
-class ExactPropagator:
-    """Closed-form propagation of a state whose sectors are all resonant.
+class SectorPropagator:
+    """States reached from one initial state, each by an exact engine.
 
-    When every basis state of a sector has the same bare energy E0 (every
-    detuning zero), the interaction-picture generator is f(t) H_int, which
-    commutes with itself at all times.  With H_int = V diag(lam) V^dag and
-    the pulse area A(t) of the envelope f,
+    The engine follows from the configuration, the schedule and the times:
 
-        psi(t) = exp(-i E0 t) V exp(-i A(t) lam) V^dag psi(0)
+    * **Every sector resonant** (every detuning zero): the interaction-
+      picture generator f(t) H_int commutes with itself at all times, so
+      with H_int = V diag(lam) V^dag and the pulse area A(t) of f,
 
-    exactly.  Each sector is diagonalised once; every later time costs one
-    quadrature of the envelope and one phase multiply.
+          psi(t) = exp(-i E0 t) V exp(-i A(t) lam) V^dag psi(0)
 
-    The couplings fix the eigenbasis, so one propagator serves every
-    schedule.  Raises ValidationError outside its domain: for a sector whose
-    bare energies differ (any nonzero detuning).
+      for any schedule and t.  Each sector is diagonalised once.
+    * **Otherwise, the exit state of a bump with t_tof >= 2**: with the
+      entry ramp on [0, 1], the plateau f = 1 up to t_tof - 1 and the
+      mirrored exit ramp,
+
+          psi(t_tof) = U_exit W exp(-i lam (t_tof - 2)) W^dag U_entry psi(0)
+
+      where diag(E) + H_int = W diag(lam) W^dag.  Neither ramp depends on
+      t_tof, and as the Hamiltonian is real symmetric U_exit = U_entry^T.
+      Each sector's entry ramp is integrated (DP45 at DEFAULT_TOL, all basis
+      states at once) at most once, on the first such request.
+    * **Anything else** (detuned partial passes, constant coupling, bumps
+      with t_tof < 2, whose ramps overlap): one :func:`integrate` call at
+      SEARCH_TOL with the requested times as snapshot times.
     """
 
     def __init__(self, initial: SystemState, config: AtomicConfig):
-        self._sectors = {}
-        for m, (basis, amps) in initial.sectors.items():
-            e = np.array([diagonal_energy(s, config) for s in basis.states])
-            if np.any(e != e[0]):
-                raise ValidationError(
-                    f"sector {m} is detuned: its bare energies span "
-                    f"{float(np.ptp(e)):.3g}"
-                )
-            lam, v = np.linalg.eigh(interaction_matrix(config, basis))
-            self._sectors[m] = (basis, float(e[0]), lam, v, v.conj().T @ amps)
+        self._initial = initial
+        self._config = config
+        self._energies = {
+            m: np.array([diagonal_energy(s, config) for s in basis.states])
+            for m, (basis, _) in initial.sectors.items()
+        }
+        self._closed = None
+        self._flight = None
+        if all(np.all(e == e[0]) for e in self._energies.values()):
+            self._closed = {}
+            for m, (basis, amps) in initial.sectors.items():
+                lam, v = np.linalg.eigh(interaction_matrix(config, basis))
+                e0 = float(self._energies[m][0])
+                self._closed[m] = (basis, e0, lam, v, v.conj().T @ amps)
 
-    def state_at(self, t: float, schedule: CouplingSchedule) -> SystemState:
-        """Physical amplitudes at time ``t`` >= 0 under ``schedule``."""
-        if t < 0:
-            raise ValidationError(f"need t >= 0, got {t}")
+    def states_at(
+        self, schedule: CouplingSchedule, times: Iterable[float]
+    ) -> List[SystemState]:
+        """Physical amplitudes at each of ``times`` (finite, >= 0)."""
+        times = [float(t) for t in times]
+        if not times or not all(0.0 <= t < math.inf for t in times):
+            raise ValidationError(f"need finite times >= 0, got {times}")
+        if self._closed is not None:
+            return [self._closed_form(schedule, t) for t in times]
+        t_tof = schedule.t_tof
+        if schedule.mode == "bump" and t_tof >= 2.0 and set(times) == {t_tof}:
+            return [self._exit_state(t_tof) for _ in times]
+        traj = integrate(
+            self._initial, self._config, schedule, max(times),
+            tol=SEARCH_TOL, snapshot_times=times, n_snapshots=1,
+        )
+        return [traj.state_at(t) for t in times]
+
+    def _closed_form(self, schedule: CouplingSchedule, t: float) -> SystemState:
         area = _pulse_area(schedule, t)
         return SystemState(sectors={
             m: (basis, np.exp(-1j * e0 * t) * (v @ (np.exp(-1j * area * lam) * c0)))
-            for m, (basis, e0, lam, v, c0) in self._sectors.items()
+            for m, (basis, e0, lam, v, c0) in self._closed.items()
         })
 
-
-# ------------------------------------------------------------------
-# full bump passes of any configuration
-# ------------------------------------------------------------------
-
-class FlightPropagator:
-    """Exit states of full bump passes of duration t_tof >= 2, any detuning.
-
-    For t_tof >= 2 the Schrodinger-picture Hamiltonian diag(E) + f(t) H_int
-    has the entry ramp f = smoothstep(t) on [0, 1], the plateau f = 1 up to
-    t_tof - 1 and the mirrored exit ramp, so
-
-        psi(t_tof) = U_exit V exp(-i lam (t_tof - 2)) V^dag U_entry psi(0)
-
-    with diag(E) + H_int = V diag(lam) V^dag.  Neither ramp propagator
-    depends on t_tof, and because the Hamiltonian is real symmetric the
-    exit ramp, the time reverse of the entry ramp, has U_exit = U_entry^T.
-    Each sector is diagonalised once and its entry ramp integrated once
-    (DP45 at DEFAULT_TOL, all basis states at once); every exit state then
-    costs one phase multiply and one matrix-vector product.
-    :meth:`exit_state` raises ValidationError for t_tof < 2, where the
-    ramps overlap.
-    """
-
-    def __init__(self, initial: SystemState, config: AtomicConfig):
-        # on [0, 1] the envelope of the shortest full bump is the entry ramp
-        ramp = CouplingSchedule(mode="bump", t_tof=2.0)
-        self._sectors = {}
-        for m, (basis, amps) in initial.sectors.items():
-            e = np.array([diagonal_energy(s, config) for s in basis.states])
-            h = interaction_matrix(config, basis)
-            rhs = _interaction_rhs(e[:, None], h, ramp.envelope)
-            [(_, phi)], _ = integrate_ode(
-                rhs, np.eye(len(basis)), 0.0, 1.0, DEFAULT_TOL, [1.0]
-            )
-            u_entry = np.exp(-1j * e)[:, None] * phi
-            lam, v = np.linalg.eigh(np.diag(e) + h)
-            # U_exit V, and the plateau coefficients V^dag U_entry psi(0)
-            self._sectors[m] = (
-                basis, lam, u_entry.T @ v, v.conj().T @ (u_entry @ amps)
-            )
-
-    def exit_state(self, t_tof: float) -> SystemState:
-        """Physical amplitudes at the end of a bump pass of ``t_tof`` >= 2."""
-        if t_tof < 2.0:
-            raise ValidationError(
-                f"the ramps of a bump with t_tof = {t_tof} < 2 overlap"
-            )
+    def _exit_state(self, t_tof: float) -> SystemState:
+        if self._flight is None:
+            # on [0, 1] the envelope of the shortest full bump is the entry ramp
+            ramp = CouplingSchedule(mode="bump", t_tof=2.0)
+            self._flight = {}
+            for m, (basis, amps) in self._initial.sectors.items():
+                e = self._energies[m]
+                h = interaction_matrix(self._config, basis)
+                rhs = _interaction_rhs(e[:, None], h, ramp.envelope)
+                [(_, phi)], _ = integrate_ode(
+                    rhs, np.eye(len(basis)), 0.0, 1.0, DEFAULT_TOL, [1.0]
+                )
+                u_entry = np.exp(-1j * e)[:, None] * phi
+                lam, w = np.linalg.eigh(np.diag(e) + h)
+                # U_exit W, and the plateau coefficients W^dag U_entry psi(0)
+                self._flight[m] = (
+                    basis, lam, u_entry.T @ w, w.conj().T @ (u_entry @ amps)
+                )
         return SystemState(sectors={
             m: (basis, u_out @ (np.exp(-1j * (t_tof - 2.0) * lam) * c_in))
-            for m, (basis, lam, u_out, c_in) in self._sectors.items()
+            for m, (basis, lam, u_out, c_in) in self._flight.items()
         })

@@ -26,6 +26,7 @@ with non-negative photon number ``nu = m - lambda2*(q-r) - lambda3*(na-q)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Tuple
@@ -97,6 +98,11 @@ class AtomicConfig:
         object.__setattr__(self, "kind", kind)
         if self.omega != 1.0:
             raise ValidationError("omega is fixed to 1 (dimensionless time)")
+        for name in ("mu12", "mu13", "mu23", "delta12", "delta13", "delta23"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"need a finite {name}, got {getattr(self, name)!r}"
+                )
         forbidden = _FORBIDDEN_COUPLING[kind]
         if getattr(self, forbidden) != 0.0:
             raise ValidationError(

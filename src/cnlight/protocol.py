@@ -28,8 +28,7 @@ import numpy as np
 from .analytic_core import switching_time
 from .dynamics import (
     CouplingSchedule,
-    ExactPropagator,
-    FlightPropagator,
+    SectorPropagator,
     SystemState,
     Trajectory,
     ground_product_state,
@@ -72,7 +71,6 @@ GOLDEN_TOL = 1e-6
 PURITY_TOL = 1e-6
 DEFAULT_LEAKAGE_TARGET = 0.02
 SCAN_STEP = 0.05
-SCAN_TOL = 1e-9              # integration tolerance during t_tof scans
 
 
 class TofSearchResult(NamedTuple):
@@ -183,16 +181,6 @@ def _scan_and_refine(
     return x_best, f_best
 
 
-def _exact_propagator(
-    state: SystemState, config: AtomicConfig
-) -> Optional[ExactPropagator]:
-    """The closed-form propagator when every sector is resonant, else None."""
-    try:
-        return ExactPropagator(state, config)
-    except ValidationError:
-        return None
-
-
 def _entropy_trace(traj: Trajectory) -> np.ndarray:
     return np.array(
         [linear_entropy(reduce_field(s)) for s in traj.snapshots]
@@ -268,10 +256,11 @@ def first_passage(
     The exit time is placed at the local minimum of P(nu0 - 1): a coarse
     0.01 grid around the predicted instant (the switching time, delayed by
     the ramp area 1/2 for the bump envelope) followed by golden-section
-    refinement.  On a resonant configuration the search evaluates the
-    closed form (:class:`ExactPropagator`), otherwise it integrates; the
-    reported pass is always integrated.  Raises MinimumNotFoundError when
-    the minimum never drops below EXIT_THRESHOLD.
+    refinement, each evaluated by one :class:`SectorPropagator`: in closed
+    form on a resonant configuration, otherwise by one integration for the
+    whole grid and one per refinement probe.  The reported pass is always
+    integrated.  Raises MinimumNotFoundError when the minimum never drops
+    below EXIT_THRESHOLD.
     """
     if config.kind is not Kind.XI:
         raise ValidationError("the first passage needs a ladder configuration")
@@ -295,29 +284,18 @@ def first_passage(
     basis = initial.sectors[nu0][0]
     idx_mid = basis.index(1, 0)          # the nu0 - 1 component
 
-    def p_mid(state: SystemState) -> float:
-        _, amps = state.sectors[nu0]
-        return float(abs(amps[idx_mid]) ** 2)
+    propagator = SectorPropagator(initial, config)
 
-    exact = _exact_propagator(initial, config)
-    scan = None
-    if exact is not None:
-        def p_mid_at(t: float) -> float:
-            return p_mid(exact.state_at(t, schedule))
-    else:
-        def p_mid_at(t: float) -> float:
-            traj = integrate(initial, config, schedule, t, n_snapshots=2)
-            return p_mid(traj.snapshots[-1])
-
-        def scan(grid: np.ndarray) -> List[float]:
-            traj = integrate(
-                initial, config, schedule, float(grid[-1]),
-                snapshot_times=grid, n_snapshots=2,
-            )
-            return [p_mid(traj.state_at(float(t))) for t in grid]
+    def p_mid(times: Sequence[float]) -> List[float]:
+        return [
+            float(abs(state.sectors[nu0][1][idx_mid]) ** 2)
+            for state in propagator.states_at(schedule, times)
+        ]
 
     grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
-    t_exit, p_min = _scan_and_refine(p_mid_at, grid, GOLDEN_TOL, scan)
+    t_exit, p_min = _scan_and_refine(
+        lambda t: p_mid([t])[0], grid, GOLDEN_TOL, p_mid
+    )
     if p_min > EXIT_THRESHOLD:
         raise MinimumNotFoundError(
             f"P({nu0 - 1}) only reaches {p_min:.3g} in [{lo:.3f}, {hi:.3f}]"
@@ -421,11 +399,11 @@ def find_tof_for_cat(
     Scans the window (default [1, 20]) on a 0.05 grid for the time of
     flight minimizing the population outside the two target photon
     numbers (drained lower component, preserved upper), then refines by
-    golden section.  On a resonant configuration every candidate is
-    evaluated in closed form (:class:`ExactPropagator`).  On a detuned one
-    a candidate t_tof >= 2 joins two precomputed ramp propagators by the
-    exact plateau (:class:`FlightPropagator`), and a shorter one, whose
-    ramps overlap, is integrated from t = 0.  Raises
+    golden section.  One :class:`SectorPropagator` evaluates every
+    candidate: in closed form on a resonant configuration; on a detuned one
+    by two precomputed ramp propagators joined by the exact plateau for
+    t_tof >= 2, and by one integration from t = 0 for a shorter candidate,
+    whose ramps overlap.  Raises
     TargetUnreachableError (with the best point attached) if the achieved
     leakage stays above ``target``.
     """
@@ -447,22 +425,12 @@ def find_tof_for_cat(
     # the last step may land up to SCAN_STEP / 2 past the window: drop it
     # unless it is past by roundoff only
     candidates = candidates[candidates <= w1 + 1e-9 * SCAN_STEP]
-    exact = _exact_propagator(state, config)
-    flight = None
-    if exact is None and candidates[-1] >= 2.0:
-        flight = FlightPropagator(state, config)
-
-    def exit_state(t: float) -> SystemState:
-        schedule = CouplingSchedule(mode="bump", t_tof=t)
-        if exact is not None:
-            return exact.state_at(t, schedule)
-        if flight is not None and t >= 2.0:
-            return flight.exit_state(t)
-        traj = integrate(state, config, schedule, t, tol=SCAN_TOL, n_snapshots=4)
-        return traj.snapshots[-1]
+    propagator = SectorPropagator(state, config)
 
     def leakage_at(t: float) -> float:
-        probs = photon_probabilities(reduce_field(exit_state(t)))
+        schedule = CouplingSchedule(mode="bump", t_tof=t)
+        (exit_state,) = propagator.states_at(schedule, [t])
+        probs = photon_probabilities(reduce_field(exit_state))
         return float(1.0 - probs[nu_lo] - probs[m2])
 
     t_best, leak_best = _scan_and_refine(leakage_at, candidates, 1e-5)

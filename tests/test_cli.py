@@ -83,6 +83,18 @@ def test_bad_grid_exits_2(capsys):
         ["protocol", "--nu0", "3", "--passes", "2", "--t-tof-ref", "nan"],
         ["propagate", *XI_REF, "--m", "3", "--tau", "nan"],
         ["propagate", *XI_REF, "--m", "3", "--tau", "inf"],
+        ["evolve", "--mu12", "1", "--mu23", "1", "--nu1", "0", "--nu2", "2",
+         "--theta", "nan", "--t-end", "0.1", "--snapshots", "1"],
+        ["spectrum", "--mu12", "inf", "--mu23", "1", "--m", "3"],
+        ["evolve", "--mu12", "nan", "--mu23", "1", "--nu0", "3",
+         "--t-end", "0.1", "--snapshots", "1"],
+        ["evolve", *XI_REF, "--delta12", "nan", "--nu0", "3",
+         "--t-end", "0.1", "--snapshots", "1"],
+        ["evolve", "--mu12", "1", "--mu23", "1", "--nu1", "2",
+         "--t-end", "0.1", "--snapshots", "1"],
+        ["symmetry", *XI_REF, "--nu2", "2", "--t-end", "0.1"],
+        ["animate", *XI_REF, "--nu0", "2", "--t-end", "nan"],
+        ["animate", *XI_REF, "--nu0", "2", "--t-end", "inf"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
@@ -90,6 +102,9 @@ def test_bad_grid_exits_2(capsys):
         "rows=x", "rows=4",
         "rows=0", "dt=0", "dt<0", "dt=inf",
         "theta=nan", "xi-phase=nan", "t-tof-ref=nan", "tau=nan", "tau=inf",
+        "evolve-theta=nan", "mu12=inf", "mu12=nan", "delta12=nan",
+        "evolve-nu1-alone", "symmetry-nu2-alone", "animate-t-end=nan",
+        "animate-t-end=inf",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from cnlight import dynamics
 from cnlight.analytic_core import evolve_ground_analytic
 from cnlight.dynamics import (
     _DP_A,
@@ -23,9 +24,9 @@ from cnlight.dynamics import (
     _DP_E,
     _DP_E_TERMS,
     CONSTANT_SCHEDULE,
+    SEARCH_TOL,
     CouplingSchedule,
-    ExactPropagator,
-    FlightPropagator,
+    SectorPropagator,
     SystemState,
     Trajectory,
     _combine,
@@ -411,6 +412,14 @@ def test_make_superposition_rejects_equal_photon_numbers():
         make_superposition(2, 2, 0.5, 0.0, 1, REF)
 
 
+@pytest.mark.parametrize(
+    "theta,xi", [(math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, -math.inf)]
+)
+def test_make_superposition_rejects_non_finite_angles(theta, xi):
+    with pytest.raises(ValidationError):
+        make_superposition(0, 2, theta, xi, 1, REF)
+
+
 # ---------------------------------------------------------------------------
 # full propagation
 
@@ -463,9 +472,10 @@ class TestIntegrate:
             with pytest.raises(ValidationError):
                 integrate(state, REF, CONSTANT_SCHEDULE, t_end)
         basis, _ = state.sectors[2]
-        bad = SystemState(sectors={2: (basis, np.full(len(basis), 0.5 + 0j))})
-        with pytest.raises(ValidationError):
-            integrate(bad, REF, CONSTANT_SCHEDULE, 1.0)
+        for fill in (0.5, math.nan):
+            bad = SystemState(sectors={2: (basis, np.full(len(basis), fill + 0j))})
+            with pytest.raises(ValidationError):
+                integrate(bad, REF, CONSTANT_SCHEDULE, 1.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -480,7 +490,7 @@ class TestIntegrate:
 
 
 # ---------------------------------------------------------------------------
-# exact propagation of resonant sectors
+# SectorPropagator: engine choice and agreement with the integrator
 
 _ALLOWED = {
     Kind.XI: ("mu12", "mu23"),
@@ -512,7 +522,59 @@ def random_resonant_state(kind, na, m, seed):
     )
 
 
+def random_detuned_state(kind, na, m, deltas, seed):
+    """Config with the given detunings plus a random state on m and m + 2."""
+    cfg, state = random_resonant_state(kind, na, m, seed)
+    mus = {name: getattr(cfg, name) for name in _ALLOWED[kind]}
+    cfg = AtomicConfig(kind=kind, **mus, **dict(zip(_DETUNINGS[kind], deltas)))
+    return cfg, state
+
+
+def spy_on_integrate(monkeypatch):
+    """Record (t_end, tol) of every dynamics.integrate call."""
+    calls = []
+    real = dynamics.integrate
+
+    def spy(initial, config, schedule, t_end, tol=dynamics.DEFAULT_TOL, **kwargs):
+        calls.append((float(t_end), tol))
+        return real(initial, config, schedule, t_end, tol=tol, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", spy)
+    return calls
+
+
+def spy_on_integrate_ode(monkeypatch):
+    """Record the rank of y0 of every integrate_ode call: 2 for a ramp."""
+    ranks = []
+    real = dynamics.integrate_ode
+
+    def spy(f, y0, *args, **kwargs):
+        ranks.append(np.ndim(y0))
+        return real(f, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_ode", spy)
+    return ranks
+
+
+# the exact engines agree with integrate(tol=1e-11) to 1e-9; one integration
+# at SEARCH_TOL = 1e-9 per step drifts up to about 2e-8 over a pass
+FALLBACK_ATOL = 1e-7
+
+
+def assert_matches_integrator(state, cfg, sched, times, atol):
+    """SectorPropagator against integrate(tol=1e-11) at every time."""
+    got = SectorPropagator(state, cfg).states_at(sched, times)
+    want = integrate(state, cfg, sched, max(times), tol=1e-11,
+                     snapshot_times=times, n_snapshots=1)
+    for t, g in zip(times, got):
+        assert sorted(g.sectors) == sorted(state.sectors)
+        for mm, (_, amps) in want.state_at(t).sectors.items():
+            np.testing.assert_allclose(g.sectors[mm][1], amps, rtol=0, atol=atol)
+
+
 class TestExactPropagator:
+    """SectorPropagator on resonant sectors: the exact pulse-area closed form."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         kind=st.sampled_from(list(Kind)),
@@ -541,14 +603,14 @@ class TestExactPropagator:
             sched = CONSTANT_SCHEDULE
         t = t_tof * frac
         want = integrate(state, cfg, sched, t, tol=1e-11, n_snapshots=1)
-        got = ExactPropagator(state, cfg).state_at(t, sched)
+        (got,) = SectorPropagator(state, cfg).states_at(sched, [t])
         assert sorted(got.sectors) == sorted(state.sectors)
         for mm, (_, amps) in want.snapshots[-1].sectors.items():
             np.testing.assert_allclose(got.sectors[mm][1], amps, rtol=0, atol=1e-9)
 
     def test_time_zero_returns_the_initial_state(self):
         cfg, state = random_resonant_state(Kind.V, 2, 2, 7)
-        got = ExactPropagator(state, cfg).state_at(0.0, CONSTANT_SCHEDULE)
+        (got,) = SectorPropagator(state, cfg).states_at(CONSTANT_SCHEDULE, [0.0])
         for mm, (_, amps) in state.sectors.items():
             np.testing.assert_allclose(got.sectors[mm][1], amps, atol=1e-15)
 
@@ -557,9 +619,9 @@ class TestExactPropagator:
         # up to the bare phase exp(-i m T)
         state = make_superposition(1, 3, 0.4, 0.3, 1, REF)
         t_tof = 5.3
-        prop = ExactPropagator(state, REF)
-        bumped = prop.state_at(t_tof, CouplingSchedule(mode="bump", t_tof=t_tof))
-        flat = prop.state_at(t_tof - 1.0, CONSTANT_SCHEDULE)
+        prop = SectorPropagator(state, REF)
+        (bumped,) = prop.states_at(CouplingSchedule(mode="bump", t_tof=t_tof), [t_tof])
+        (flat,) = prop.states_at(CONSTANT_SCHEDULE, [t_tof - 1.0])
         for mm in state.sectors:
             np.testing.assert_allclose(
                 bumped.sectors[mm][1],
@@ -572,32 +634,25 @@ class TestExactPropagator:
         [(k, d) for k, names in _DETUNINGS.items() for d in names],
     )
     @pytest.mark.parametrize("delta", [0.1, -1e-9])
-    def test_any_detuning_is_refused(self, kind, name, delta):
+    def test_any_detuning_is_refused(self, kind, name, delta, monkeypatch):
+        # the closed form would be a silent approximation: one integration
         mus = {mu: 1.0 for mu in _ALLOWED[kind]}
         cfg = AtomicConfig(kind=kind, **mus, **{name: delta})
         state = make_superposition(1, 3, 0.5, 0.0, 1, cfg)
-        with pytest.raises(ValidationError):
-            ExactPropagator(state, cfg)
+        calls = spy_on_integrate(monkeypatch)
+        SectorPropagator(state, cfg).states_at(CONSTANT_SCHEDULE, [0.5])
+        assert calls == [(0.5, SEARCH_TOL)]
 
     def test_negative_time_is_refused(self):
-        prop = ExactPropagator(ground_product_state(REF, 3), REF)
-        with pytest.raises(ValidationError):
-            prop.state_at(-0.1, CONSTANT_SCHEDULE)
-
-
-# ---------------------------------------------------------------------------
-# full bump passes of detuned sectors
-
-
-def random_detuned_state(kind, na, m, deltas, seed):
-    """Config with the given detunings plus a random state on m and m + 2."""
-    cfg, state = random_resonant_state(kind, na, m, seed)
-    mus = {name: getattr(cfg, name) for name in _ALLOWED[kind]}
-    cfg = AtomicConfig(kind=kind, **mus, **dict(zip(_DETUNINGS[kind], deltas)))
-    return cfg, state
+        prop = SectorPropagator(ground_product_state(REF, 3), REF)
+        for times in ([-0.1], [1.0, math.nan], [math.inf], []):
+            with pytest.raises(ValidationError):
+                prop.states_at(CONSTANT_SCHEDULE, times)
 
 
 class TestFlightPropagator:
+    """SectorPropagator on full flights: ramps joined by the exact plateau."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         kind=st.sampled_from(list(Kind)),
@@ -619,14 +674,76 @@ class TestFlightPropagator:
         cfg, state = random_detuned_state(kind, na, m, deltas, seed)
         sched = CouplingSchedule(mode="bump", t_tof=t_tof)
         want = integrate(state, cfg, sched, t_tof, tol=1e-11, n_snapshots=1)
-        got = FlightPropagator(state, cfg).exit_state(t_tof)
+        (got,) = SectorPropagator(state, cfg).states_at(sched, [t_tof])
         assert sorted(got.sectors) == sorted(state.sectors)
         for mm, (_, amps) in want.snapshots[-1].sectors.items():
             np.testing.assert_allclose(got.sectors[mm][1], amps, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("t_tof", [1.999, 1.0, 0.5])
-    def test_overlapping_ramps_are_refused(self, t_tof):
+    def test_overlapping_ramps_are_refused(self, t_tof, monkeypatch):
+        # the ramps overlap below 2: one integration, no ramp
         cfg, state = random_detuned_state(Kind.V, 1, 2, (0.2, 0.1), 10)
-        prop = FlightPropagator(state, cfg)
-        with pytest.raises(ValidationError):
-            prop.exit_state(t_tof)
+        calls = spy_on_integrate(monkeypatch)
+        ranks = spy_on_integrate_ode(monkeypatch)
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        SectorPropagator(state, cfg).states_at(sched, [t_tof])
+        assert calls == [(t_tof, SEARCH_TOL)]
+        assert ranks == [1] * len(state.sectors)
+
+
+class TestSectorPropagator:
+    """Regime edges and the work each regime does."""
+
+    @pytest.mark.parametrize("t_tof,atol", [(2.0, 1e-9), (1.999, FALLBACK_ATOL)])
+    def test_exit_states_on_both_sides_of_two(self, t_tof, atol):
+        cfg, state = random_detuned_state(Kind.XI, 2, 2, (0.13, -0.07), 11)
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        assert_matches_integrator(state, cfg, sched, [t_tof], atol=atol)
+
+    def test_batch_mixing_exit_and_partial_times(self, monkeypatch):
+        cfg, state = random_detuned_state(Kind.LAMBDA, 2, 2, (0.2, -0.1), 12)
+        sched = CouplingSchedule(mode="bump", t_tof=5.0)
+        times = [0.4, 2.5, 5.0, 4.6]
+        assert_matches_integrator(state, cfg, sched, times, atol=FALLBACK_ATOL)
+        calls = spy_on_integrate(monkeypatch)
+        prop = SectorPropagator(state, cfg)
+        mixed = prop.states_at(sched, times)
+        assert calls == [(5.0, SEARCH_TOL)]
+        (alone,) = prop.states_at(sched, [5.0])
+        assert calls == [(5.0, SEARCH_TOL)]   # the exit alone takes the ramps
+        for mm, (_, amps) in alone.sectors.items():
+            np.testing.assert_allclose(
+                mixed[2].sectors[mm][1], amps, rtol=0, atol=FALLBACK_ATOL
+            )
+
+    @pytest.mark.parametrize("t_tof", [2.0, 4.5])
+    def test_one_dimensional_sector_next_to_a_detuned_one(self, t_tof):
+        cfg = AtomicConfig(kind=Kind.XI, mu12=0.9, mu23=1.3,
+                           delta12=0.2, delta23=-0.15)
+        state = make_superposition(0, 2, 0.7, 0.4, 1, cfg)
+        assert [len(b) for b, _ in state.sectors.values()] == [1, 3]
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        assert_matches_integrator(state, cfg, sched, [t_tof], atol=1e-9)
+        assert_matches_integrator(state, cfg, sched, [0.5, t_tof], atol=FALLBACK_ATOL)
+
+    def test_resonant_propagator_never_integrates(self, monkeypatch):
+        ranks = spy_on_integrate_ode(monkeypatch)
+        cfg, state = random_resonant_state(Kind.XI, 2, 2, 13)
+        prop = SectorPropagator(state, cfg)
+        for t_tof in (1.5, 2.0, 5.0):
+            sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+            prop.states_at(sched, [t_tof])
+            prop.states_at(sched, [0.3, t_tof / 2, t_tof])
+        prop.states_at(CONSTANT_SCHEDULE, [0.0, 3.0])
+        assert ranks == []
+
+    def test_detuned_ramps_integrate_once_per_sector_on_demand(self, monkeypatch):
+        ranks = spy_on_integrate_ode(monkeypatch)
+        cfg, state = random_detuned_state(Kind.V, 2, 2, (0.2, 0.1), 14)
+        prop = SectorPropagator(state, cfg)
+        assert ranks == []
+        prop.states_at(CouplingSchedule(mode="bump", t_tof=5.0), [3.0])
+        assert 2 not in ranks       # a partial pass takes no ramp
+        for t_tof in (2.0, 3.3, 5.0, 7.5, 3.3):
+            prop.states_at(CouplingSchedule(mode="bump", t_tof=t_tof), [t_tof])
+        assert ranks.count(2) == len(state.sectors)

@@ -36,6 +36,14 @@ class TestAtomicConfig:
         with pytest.raises(ValidationError):
             make_config(Kind.LAMBDA, mu12=0.5)
 
+    @pytest.mark.parametrize(
+        "name", ["mu12", "mu23", "delta12", "delta13", "delta23"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_couplings_and_detunings_rejected(self, name, value):
+        with pytest.raises(ValidationError):
+            make_config(Kind.XI, **{name: value})
+
     def test_analytic_detuning_conditions(self):
         assert make_config(Kind.XI, delta12=0.4, delta23=-0.4).has_analytic_detuning
         assert not make_config(Kind.XI, delta12=0.4).has_analytic_detuning

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cnlight import protocol
+from cnlight import dynamics, protocol
 from cnlight.analytic_core import balanced_coupling, switching_time
 from cnlight.dynamics import CONSTANT_SCHEDULE, CouplingSchedule
 from cnlight.errors import (
@@ -45,15 +45,21 @@ def two_fock_field(nu1, nu2, theta, xi=0.0):
 
 
 def spy_on_integrate(monkeypatch):
-    """Record the end time of every protocol.integrate call."""
+    """Record the end time of every integrate call, in call order.
+
+    Reported passes call protocol.integrate; search probes off the exact
+    paths call dynamics.integrate from SectorPropagator.  One list holds
+    both.
+    """
     calls = []
-    real = protocol.integrate
+    real = dynamics.integrate
 
     def spy(initial, config, schedule, t_end, *args, **kwargs):
         calls.append(float(t_end))
         return real(initial, config, schedule, t_end, *args, **kwargs)
 
     monkeypatch.setattr(protocol, "integrate", spy)
+    monkeypatch.setattr(dynamics, "integrate", spy)
     return calls
 
 
@@ -169,6 +175,21 @@ class TestFirstPassage:
         assert report.exit_time == pytest.approx(
             first_passage(3, REF, CONSTANT_SCHEDULE).exit_time, abs=0.05
         )
+
+    def test_detuned_search_integrates_no_ramp(self, monkeypatch):
+        # exit-time probes are partial passes: no ramp matrix is integrated
+        ranks = []
+        real = dynamics.integrate_ode
+
+        def spy(f, y0, *args, **kwargs):
+            ranks.append(np.ndim(y0))
+            return real(f, y0, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_ode", spy)
+        cfg = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0),
+                           delta12=0.1, delta23=-0.1)
+        first_passage(3, cfg, CouplingSchedule(mode="bump", t_tof=8.0))
+        assert ranks and set(ranks) == {1}
 
 
 # ---------------------------------------------------------------------------
