@@ -42,6 +42,7 @@ from .observables import (
     husimi,
     linear_entropy,
     photon_probabilities,
+    pure_field,
     reduce_field,
 )
 from .protocol import (
@@ -168,6 +169,8 @@ def _photon_numbers(args: argparse.Namespace) -> Tuple[int, ...]:
         if nu0 < 0:
             raise ValidationError("photon numbers are non-negative")
         return (nu0,)
+    if args.nu0 is not None:
+        raise ValidationError("give either --nu0 or --nu1 and --nu2")
     if args.nu1 is None or args.nu2 is None:
         raise ValidationError("need both --nu1 and --nu2")
     if min(args.nu1, args.nu2) < 0 or args.nu1 == args.nu2:
@@ -182,15 +185,20 @@ def _photon_numbers(args: argparse.Namespace) -> Tuple[int, ...]:
 def _field_from(args: argparse.Namespace) -> FieldDensityMatrix:
     """Pure field state described by the state flags (no dynamics)."""
     photons = _photon_numbers(args)
-    vec = np.zeros(max(photons) + 1, dtype=complex)
     if len(photons) == 1:
-        vec[photons[0]] = 1.0
-    else:
-        # a finite theta keeps the norm near 1, never 0
-        vec[photons[0]] = math.cos(args.theta)
-        vec[photons[1]] = math.sin(args.theta) * np.exp(1j * args.xi_phase)
-        vec /= np.linalg.norm(vec)
-    return FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
+        return pure_field({photons[0]: 1.0})
+    nu1, nu2 = photons
+    return pure_field({
+        nu1: math.cos(args.theta),
+        nu2: math.sin(args.theta) * np.exp(1j * args.xi_phase),
+    })
+
+
+def _add_flight_flags(p: argparse.ArgumentParser, t_end_help: str) -> None:
+    p.add_argument("--mode", choices=["constant", "bump"], default="constant")
+    p.add_argument("--t-tof", type=float, default=None, dest="t_tof")
+    p.add_argument("--t-end", type=float, default=None, dest="t_end",
+                   help=t_end_help)
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -288,15 +296,6 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-def _make_initial(args, config: AtomicConfig):
-    photons = _photon_numbers(args)
-    if len(photons) == 2:
-        return make_superposition(
-            *photons, args.theta, args.xi_phase, args.na, config
-        )
-    return ground_product_state(config, photons[0], na=args.na)
-
-
 def _schedule_from(args) -> CouplingSchedule:
     if args.mode == "bump":
         if args.t_tof is None:
@@ -313,14 +312,24 @@ def _t_end_from(args) -> float:
     return t_end
 
 
+def _trajectory(args, t_end: float, **kw) -> Trajectory:
+    """The state flags' initial state integrated under the flight flags."""
+    config = _config_from(args)
+    photons = _photon_numbers(args)
+    if len(photons) == 2:
+        initial = make_superposition(
+            *photons, args.theta, args.xi_phase, args.na, config
+        )
+    else:
+        initial = ground_product_state(config, photons[0], na=args.na)
+    return integrate(initial, config, _schedule_from(args), t_end, **kw)
+
+
 def _cmd_evolve(args) -> int:
     started = time.perf_counter()
-    config = _config_from(args)
-    initial = _make_initial(args, config)
-    schedule = _schedule_from(args)
-    traj = integrate(initial, config, schedule, _t_end_from(args),
-                     tol=args.tol, n_snapshots=args.snapshots)
-    nu_max = max(initial.sectors)
+    traj = _trajectory(args, _t_end_from(args),
+                       tol=args.tol, n_snapshots=args.snapshots)
+    nu_max = traj.snapshots[0].nu_max
     header = "time," + ",".join(f"p{n}" for n in range(nu_max + 1)) + ",entropy"
     lines = [header]
     for t, snap in zip(traj.times, traj.snapshots):
@@ -345,10 +354,7 @@ def _cmd_husimi(args) -> int:
 def _cmd_symmetry(args) -> int:
     started = time.perf_counter()
     if args.t_end is not None:
-        config = _config_from(args)
-        initial = _make_initial(args, config)
-        schedule = _schedule_from(args)
-        traj = integrate(initial, config, schedule, _t_end_from(args))
+        traj = _trajectory(args, _t_end_from(args))
         field = reduce_field(traj.snapshots[-1])
     else:
         field = _field_from(args)
@@ -440,7 +446,7 @@ def _parse_rows(text: str) -> set:
 def _cmd_table1(args) -> int:
     started = time.perf_counter()
     config = reference_config()
-    wanted = _parse_rows(args.rows) if args.rows else {1, 2, 3}
+    wanted = _parse_rows(args.rows) if args.rows is not None else {1, 2, 3}
     lines = ["m1,m2,delta_nu,t_tof,leakage,p0,p1,p2,p3,p4,p5"]
     for idx, ref in enumerate(REFERENCE_CATS, start=1):
         if idx not in wanted:
@@ -451,9 +457,8 @@ def _cmd_table1(args) -> int:
         window = (0.85 * ref.t_tof, 1.15 * ref.t_tof)
         found = find_tof_for_cat(field, config, window=window)
         rep = subsequent_passage(field, config, found.t_tof)
-        nu_lo = ref.m1 - 2 if ref.m1 >= 2 else max(ref.m1 - 1, 0)
-        delta_nu = ref.m2 - nu_lo
-        cells = [str(ref.m1), str(ref.m2), str(delta_nu),
+        nu_lo, nu_hi = np.flatnonzero(np.diag(rep.field.rho))
+        cells = [str(ref.m1), str(ref.m2), str(nu_hi - nu_lo),
                  _fmt(found.t_tof), _fmt(rep.leakage)]
         for nu in range(6):
             if nu < rep.probabilities.size:
@@ -511,9 +516,6 @@ def export_frames(
 
 def _cmd_animate(args) -> int:
     started = time.perf_counter()
-    config = _config_from(args)
-    initial = _make_initial(args, config)
-    schedule = _schedule_from(args)
     t_end = _t_end_from(args)
     if not args.dt > 0:
         raise ValidationError(f"need --dt > 0, got {args.dt}")
@@ -521,9 +523,8 @@ def _cmd_animate(args) -> int:
         raise ValidationError("stride must be >= 1")
     grid = _parse_grid(args.grid)
     n_frames = max(int(round(t_end / args.dt)), 1)
-    t_end = n_frames * args.dt
-    traj = integrate(initial, config, schedule, t_end,
-                     tol=args.tol, n_snapshots=n_frames)
+    traj = _trajectory(args, n_frames * args.dt,
+                       tol=args.tol, n_snapshots=n_frames)
     export_frames(
         traj, grid, args.stride, Path(args.out),
         command="animate", parameters=_manifest_params(args), started=started,
@@ -570,9 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("evolve", _cmd_evolve, "integrate the Schrodinger equation")
     _add_config_flags(p)
     _add_state_flags(p)
-    p.add_argument("--mode", choices=["constant", "bump"], default="constant")
-    p.add_argument("--t-tof", type=float, default=None, dest="t_tof")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
+    _add_flight_flags(p, "end time (default: the bump's --t-tof)")
     p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--snapshots", type=int, default=200)
 
@@ -584,10 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_state_flags(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--mode", choices=["constant", "bump"], default="constant")
-    p.add_argument("--t-tof", type=float, default=None, dest="t_tof")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end",
-                   help="evolve before certifying (optional)")
+    _add_flight_flags(p, "evolve before certifying (optional)")
 
     p = add("protocol", _cmd_protocol, "multi-pass cat generation")
     _add_config_flags(p)
@@ -607,9 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("animate", _cmd_animate, "Husimi frames along a trajectory")
     _add_config_flags(p)
     _add_state_flags(p)
-    p.add_argument("--mode", choices=["constant", "bump"], default="constant")
-    p.add_argument("--t-tof", type=float, default=None, dest="t_tof")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
+    _add_flight_flags(p, "end time (default: the bump's --t-tof)")
     p.add_argument("--dt", type=float, default=math.pi / 32)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-11)

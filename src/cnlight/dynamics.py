@@ -44,6 +44,7 @@ __all__ = [
     "integrate_ode",
     "make_superposition",
     "ground_product_state",
+    "product_state",
 ]
 
 DEFAULT_TOL = 1e-11
@@ -211,14 +212,30 @@ class SystemState:
         return basis.na
 
 
+def product_state(
+    config: AtomicConfig, amplitudes: Mapping[int, complex], na: int
+) -> SystemState:
+    """(sum of c_nu |nu>) x all atoms ground, from ``amplitudes`` {nu: c_nu}.
+
+    All-ground atoms carry no excitation, so the component |nu> lives in
+    the sector m = nu.  Exactly vanishing amplitudes drop their sector.
+    """
+    sectors: Dict[int, Tuple[SectorBasis, np.ndarray]] = {}
+    for m in sorted(amplitudes):
+        if amplitudes[m] == 0:
+            continue
+        basis = build_sector_basis(config, na, m)
+        amps = np.zeros(len(basis), dtype=complex)
+        amps[basis.index(na, na)] = amplitudes[m]
+        sectors[m] = (basis, amps)
+    return SystemState(sectors=sectors)
+
+
 def ground_product_state(
     config: AtomicConfig, nu0: int, na: int = 1
 ) -> SystemState:
     """|nu0> photons with every atom in its lowest level."""
-    basis = build_sector_basis(config, na, nu0)
-    amps = np.zeros(len(basis), dtype=complex)
-    amps[basis.index(na, na)] = 1.0
-    return SystemState(sectors={nu0: (basis, amps)})
+    return product_state(config, {nu0: 1.0}, na)
 
 
 def make_superposition(
@@ -231,24 +248,14 @@ def make_superposition(
 ) -> SystemState:
     """(cos(theta) |nu1> + e^(i xi) sin(theta) |nu2>) x all atoms ground.
 
-    All-ground atoms carry no excitation, so the two Fock components live
-    in the sectors m = nu1 and m = nu2.  Exactly vanishing weights drop
-    their sector (theta = 0 leaves a single pure Fock sector).
+    theta = 0 leaves a single pure Fock sector.
     """
     if nu1 == nu2:
         raise ValidationError("superposition needs two distinct photon numbers")
     if not (math.isfinite(theta) and math.isfinite(xi)):
         raise ValidationError(f"need a finite theta and xi, got {theta}, {xi}")
     weights = {nu1: complex(math.cos(theta)), nu2: math.sin(theta) * np.exp(1j * xi)}
-    sectors: Dict[int, Tuple[SectorBasis, np.ndarray]] = {}
-    for m in sorted(weights):
-        if weights[m] == 0:
-            continue
-        basis = build_sector_basis(config, na, m)
-        amps = np.zeros(len(basis), dtype=complex)
-        amps[basis.index(na, na)] = weights[m]
-        sectors[m] = (basis, amps)
-    return SystemState(sectors=sectors)
+    return product_state(config, weights, na)
 
 
 # ------------------------------------------------------------------

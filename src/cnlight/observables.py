@@ -25,6 +25,7 @@ __all__ = [
     "HusimiGrid",
     "SymmetryReport",
     "DEFAULT_GRID",
+    "pure_field",
     "reduce_field",
     "photon_probabilities",
     "linear_entropy",
@@ -121,6 +122,15 @@ class SymmetryReport:
 # ------------------------------------------------------------------
 # reductions
 # ------------------------------------------------------------------
+
+def pure_field(amplitudes: Dict[int, complex]) -> FieldDensityMatrix:
+    """|psi><psi| for psi = sum of c_nu |nu> from {nu: c_nu}, normalised."""
+    vec = np.zeros(max(amplitudes) + 1, dtype=complex)
+    for nu, amp in amplitudes.items():
+        vec[nu] = amp
+    vec /= np.linalg.norm(vec)
+    return FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
+
 
 def reduce_field(state: SystemState) -> FieldDensityMatrix:
     """Trace out the matter labels of a (normalized) multi-sector state."""

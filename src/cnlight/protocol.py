@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +33,7 @@ from .dynamics import (
     Trajectory,
     ground_product_state,
     integrate,
+    product_state,
 )
 from .errors import (
     MinimumNotFoundError,
@@ -40,13 +41,15 @@ from .errors import (
     TargetUnreachableError,
     ValidationError,
 )
-from .hilbert import AtomicConfig, Kind, build_sector_basis
+# build_sector_basis has no use here; perfbench/spans.py traces this binding
+from .hilbert import AtomicConfig, Kind, build_sector_basis  # noqa: F401
 from .observables import (
     FieldDensityMatrix,
     SymmetryReport,
     detect_cyclic_symmetry,
     linear_entropy,
     photon_probabilities,
+    pure_field,
     reduce_field,
 )
 
@@ -203,20 +206,11 @@ def _pure_amplitudes(field: FieldDensityMatrix) -> np.ndarray:
     return c
 
 
-def _field_from_components(components: Dict[int, complex]) -> FieldDensityMatrix:
-    nu_max = max(components)
-    vec = np.zeros(nu_max + 1, dtype=complex)
-    for nu, amp in components.items():
-        vec[nu] = amp
-    vec /= np.linalg.norm(vec)
-    return FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
-
-
 def _read_off(components: Dict[int, complex]) -> Tuple[
     FieldDensityMatrix, Optional[float], Optional[float]
 ]:
     """Read-off field plus (theta, xi) when it has exactly two components."""
-    field = _field_from_components(components)
+    field = pure_field(components)
     theta = xi = None
     nonzero = sorted(nu for nu, a in components.items() if abs(a) > 1e-12)
     if len(nonzero) == 2:
@@ -232,16 +226,61 @@ def _state_from_field(
 ) -> SystemState:
     """Pure field ⊗ all atoms ground, one sector per Fock component."""
     c = _pure_amplitudes(field)
-    sectors = {}
-    for nu in range(c.size):
-        if abs(c[nu]) > 1e-12:
-            basis = build_sector_basis(config, na, nu)
-            amps = np.zeros(len(basis), dtype=complex)
-            amps[basis.index(na, na)] = c[nu]
-            sectors[nu] = (basis, amps)
-    if not sectors:
+    # amplitudes up to 1e-12 are eigh noise, not components
+    state = product_state(
+        config, {nu: c[nu] for nu in range(c.size) if abs(c[nu]) > 1e-12}, na
+    )
+    if not state.sectors:
         raise ValidationError("field state has no Fock support")
-    return SystemState(sectors=sectors)
+    return state
+
+
+def _exit_components(state: SystemState) -> Dict[int, complex]:
+    """Read-off photon amplitudes: the lowest of several sectors drains to
+    its fewest photons, every other one keeps its photons (atoms in ground)."""
+    ms = sorted(state.sectors)
+    components = {}
+    for m in ms:
+        basis, amps = state.sectors[m]
+        if m == ms[0] and len(ms) > 1:
+            i = int(np.argmin([s.nu for s in basis.states]))
+        else:
+            i = basis.index(basis.na, basis.na)
+        components[basis.states[i].nu] = complex(amps[i])
+    return components
+
+
+def _leakage(probs: np.ndarray, components: Dict[int, complex]) -> float:
+    """Photon-number weight off the read-off components."""
+    return float(1.0 - sum(probs[nu] for nu in set(components)))
+
+
+def _passage_report(
+    traj: Trajectory,
+    components: Dict[int, complex],
+    min_probability: Optional[float] = None,
+) -> PassageReport:
+    """Report of an integrated pass whose exit state reads off ``components``.
+
+    The first pass carries the minimum its exit-time search reached; a
+    later pass has none and carries its leakage instead.
+    """
+    probs = photon_probabilities(reduce_field(traj.snapshots[-1]))
+    field, theta, xi = _read_off(components)
+    return PassageReport(
+        exit_time=float(traj.times[-1]),
+        probabilities=probs,
+        times=traj.times,
+        entropies=_entropy_trace(traj),
+        field=field,
+        symmetry=detect_cyclic_symmetry(field),
+        min_probability=min_probability,
+        leakage=(
+            _leakage(probs, components) if min_probability is None else None
+        ),
+        theta=theta,
+        xi=xi,
+    )
 
 
 # ------------------------------------------------------------------
@@ -302,49 +341,12 @@ def first_passage(
         )
 
     final = integrate(initial, config, schedule, t_exit)
-    exit_state = final.snapshots[-1]
-    probs = photon_probabilities(reduce_field(exit_state))
-    _, amps = exit_state.sectors[nu0]
+    _, amps = final.snapshots[-1].sectors[nu0]
     components = {
         nu0 - 2: complex(amps[basis.index(0, 0)]),
         nu0: complex(amps[basis.index(1, 1)]),
     }
-    out_field, theta, xi = _read_off(components)
-    return PassageReport(
-        exit_time=t_exit,
-        probabilities=probs,
-        times=final.times,
-        entropies=_entropy_trace(final),
-        field=out_field,
-        symmetry=detect_cyclic_symmetry(out_field),
-        min_probability=p_min,
-        theta=theta,
-        xi=xi,
-    )
-
-
-def _sector_targets(state: SystemState) -> Dict[int, int]:
-    """Read-off basis index per sector: drain the lowest, keep the rest."""
-    ms = sorted(state.sectors)
-    targets = {}
-    for m in ms:
-        basis, _ = state.sectors[m]
-        if m == ms[0] and len(ms) > 1:
-            targets[m] = int(np.argmin([s.nu for s in basis.states]))
-        else:
-            targets[m] = basis.index(basis.na, basis.na)   # atoms back in ground
-    return targets
-
-
-def _exit_components(
-    state: SystemState, targets: Dict[int, int]
-) -> Dict[int, complex]:
-    """Photon amplitude carried by each sector's target basis state."""
-    components = {}
-    for m, (basis, amps) in state.sectors.items():
-        i = targets[m]
-        components[basis.states[i].nu] = complex(amps[i])
-    return components
+    return _passage_report(final, components, min_probability=p_min)
 
 
 def subsequent_passage(
@@ -363,24 +365,7 @@ def subsequent_passage(
     state = _state_from_field(field, config, na)
     schedule = CouplingSchedule(mode="bump", t_tof=t_tof)
     traj = integrate(state, config, schedule, t_tof)
-    exit_state = traj.snapshots[-1]
-    probs = photon_probabilities(reduce_field(exit_state))
-
-    targets = _sector_targets(exit_state)
-    components = _exit_components(exit_state, targets)
-    out_field, theta, xi = _read_off(components)
-    leak = float(1.0 - sum(probs[nu] for nu in set(components)))
-    return PassageReport(
-        exit_time=t_tof,
-        probabilities=probs,
-        times=traj.times,
-        entropies=_entropy_trace(traj),
-        field=out_field,
-        symmetry=detect_cyclic_symmetry(out_field),
-        leakage=leak,
-        theta=theta,
-        xi=xi,
-    )
+    return _passage_report(traj, _exit_components(traj.snapshots[-1]))
 
 
 # ------------------------------------------------------------------
@@ -407,16 +392,11 @@ def find_tof_for_cat(
     TargetUnreachableError (with the best point attached) if the achieved
     leakage stays above ``target``.
     """
-    c = _pure_amplitudes(field)
-    support = [nu for nu in range(c.size) if abs(c[nu]) > 1e-12]
-    if len(support) != 2:
-        raise ValidationError(
-            f"need a two-component field, got support {support}"
-        )
-    m1, m2 = support
-    basis1 = build_sector_basis(config, na, m1)
-    nu_lo = min(s.nu for s in basis1.states)
     state = _state_from_field(field, config, na)
+    if len(state.sectors) != 2:
+        raise ValidationError(
+            f"need a two-component field, got support {sorted(state.sectors)}"
+        )
     w0, w1 = window if window is not None else (1.0, 20.0)
     if not 0 < w0 < w1:
         raise ValidationError(f"bad search window ({w0}, {w1})")
@@ -431,7 +411,7 @@ def find_tof_for_cat(
         schedule = CouplingSchedule(mode="bump", t_tof=t)
         (exit_state,) = propagator.states_at(schedule, [t])
         probs = photon_probabilities(reduce_field(exit_state))
-        return float(1.0 - probs[nu_lo] - probs[m2])
+        return _leakage(probs, _exit_components(exit_state))
 
     t_best, leak_best = _scan_and_refine(leakage_at, candidates, 1e-5)
     if leak_best > target:
@@ -448,10 +428,8 @@ def find_tof_for_cat(
 # protocol driver
 # ------------------------------------------------------------------
 
-def _initial_report(config: AtomicConfig, nu0: int) -> PassageReport:
-    rho = np.zeros((nu0 + 1, nu0 + 1), dtype=complex)
-    rho[nu0, nu0] = 1.0
-    fdm = FieldDensityMatrix(rho=rho)
+def _initial_report(nu0: int) -> PassageReport:
+    fdm = pure_field({nu0: 1.0})
     return PassageReport(
         exit_time=0.0,
         probabilities=photon_probabilities(fdm),
@@ -466,8 +444,14 @@ def run_protocol(spec: ProtocolSpec) -> List[PassageReport]:
     """Chain passes; each read-off exit field feeds the next atom."""
     if spec.nu0 < 0:
         raise ValidationError("photon numbers are non-negative")
+    if spec.xi is not None and spec.theta is None:
+        raise ValidationError("xi overrides the read-off cat only with theta")
+    if spec.passes and spec.passes[0].na != 1:
+        raise ValidationError(
+            f"the first pass sends one atom, got na = {spec.passes[0].na}"
+        )
     if not spec.passes:
-        return [_initial_report(spec.config, spec.nu0)]
+        return [_initial_report(spec.nu0)]
 
     reports: List[PassageReport] = []
     field: Optional[FieldDensityMatrix] = None
@@ -482,16 +466,9 @@ def run_protocol(spec: ProtocolSpec) -> List[PassageReport]:
                     hi: math.sin(spec.theta) * np.exp(1j * xi),
                 }
                 fld, th, x = _read_off(forced)
-                rep = PassageReport(
-                    exit_time=rep.exit_time,
-                    probabilities=rep.probabilities,
-                    times=rep.times,
-                    entropies=rep.entropies,
-                    field=fld,
-                    symmetry=detect_cyclic_symmetry(fld),
-                    min_probability=rep.min_probability,
-                    theta=th,
-                    xi=x,
+                rep = replace(
+                    rep, field=fld, symmetry=detect_cyclic_symmetry(fld),
+                    theta=th, xi=x,
                 )
         else:
             if ps.exit_policy == "search":

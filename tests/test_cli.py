@@ -95,6 +95,14 @@ def test_bad_grid_exits_2(capsys):
         ["symmetry", *XI_REF, "--nu2", "2", "--t-end", "0.1"],
         ["animate", *XI_REF, "--nu0", "2", "--t-end", "nan"],
         ["animate", *XI_REF, "--nu0", "2", "--t-end", "inf"],
+        ["husimi", "--nu0", "3", "--nu1", "1", "--nu2", "2"],
+        ["symmetry", "--nu0", "3", "--nu1", "1", "--nu2", "2"],
+        ["evolve", *XI_REF, "--nu0", "3", "--nu1", "1", "--nu2", "2",
+         "--t-end", "0.1", "--snapshots", "1"],
+        ["animate", *XI_REF, "--nu0", "2", "--nu1", "1", "--nu2", "3",
+         "--t-end", "0.4", "--grid=-1:1:3"],
+        ["table1", "--rows", ""],
+        ["protocol", "--nu0", "3", "--passes", "1", "--force-xi", "2.0"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
@@ -104,7 +112,9 @@ def test_bad_grid_exits_2(capsys):
         "theta=nan", "xi-phase=nan", "t-tof-ref=nan", "tau=nan", "tau=inf",
         "evolve-theta=nan", "mu12=inf", "mu12=nan", "delta12=nan",
         "evolve-nu1-alone", "symmetry-nu2-alone", "animate-t-end=nan",
-        "animate-t-end=inf",
+        "animate-t-end=inf", "husimi-nu0-with-nu1-nu2",
+        "symmetry-nu0-with-nu1-nu2", "evolve-nu0-with-nu1-nu2",
+        "animate-nu0-with-nu1-nu2", "rows=empty", "force-xi-alone",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):

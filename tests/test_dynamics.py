@@ -39,6 +39,7 @@ from cnlight.dynamics import (
     interaction_elements,
     interaction_matrix,
     make_superposition,
+    product_state,
 )
 from cnlight.errors import StepSizeUnderflowError, ValidationError
 from cnlight.hilbert import AtomicConfig, Kind, build_sector_basis
@@ -389,6 +390,52 @@ def test_ground_product_state():
     assert amps[basis.index(1, 1)] == 1.0
     assert state.norm() == pytest.approx(1.0)
     assert state.nu_max == 3 and state.na == 1
+
+
+KIND_CONFIGS = {
+    Kind.XI: REF,
+    Kind.V: AtomicConfig(kind=Kind.V, mu12=1.0, mu13=0.7),
+    Kind.LAMBDA: AtomicConfig(kind=Kind.LAMBDA, mu13=1.0, mu23=0.7),
+}
+
+
+def ground_sectors_by_hand(config, weights, na):
+    """Each nonzero weight on its sector's all-ground basis state."""
+    sectors = {}
+    for m in sorted(weights):
+        if weights[m] != 0:
+            basis = build_sector_basis(config, na, m)
+            amps = np.zeros(len(basis), dtype=complex)
+            amps[basis.index(na, na)] = weights[m]
+            sectors[m] = (basis, amps)
+    return sectors
+
+
+def assert_bit_equal(state, sectors):
+    assert list(state.sectors) == list(sectors)
+    for m, (basis, amps) in sectors.items():
+        got_basis, got_amps = state.sectors[m]
+        assert got_basis == basis
+        assert got_amps.dtype == amps.dtype
+        assert got_amps.tobytes() == amps.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(KIND_CONFIGS), ids=lambda k: k.value)
+@pytest.mark.parametrize("na", [1, 2, 3])
+def test_product_state_builds_the_ground_state_constructors_bit_for_bit(kind, na):
+    cfg = KIND_CONFIGS[kind]
+    ground = {3: 1.0}
+    assert_bit_equal(ground_product_state(cfg, 3, na=na),
+                     ground_sectors_by_hand(cfg, ground, na))
+    assert_bit_equal(product_state(cfg, ground, na),
+                     ground_sectors_by_hand(cfg, ground, na))
+    for theta, xi in ((0.6, 1.1), (0.0, 0.4)):   # theta = 0 drops sector 4
+        weights = {1: complex(math.cos(theta)),
+                   4: math.sin(theta) * np.exp(1j * xi)}
+        expected = ground_sectors_by_hand(cfg, weights, na)
+        assert len(expected) == (1 if theta == 0.0 else 2)
+        assert_bit_equal(make_superposition(1, 4, theta, xi, na, cfg), expected)
+        assert_bit_equal(product_state(cfg, weights, na), expected)
 
 
 def test_make_superposition_structure():

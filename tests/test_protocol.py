@@ -15,7 +15,7 @@ from cnlight.errors import (
     ValidationError,
 )
 from cnlight.hilbert import AtomicConfig, Kind
-from cnlight.observables import FieldDensityMatrix
+from cnlight.observables import FieldDensityMatrix, pure_field
 from cnlight.protocol import (
     REFERENCE_CATS,
     SCAN_STEP,
@@ -23,6 +23,7 @@ from cnlight.protocol import (
     ProtocolSpec,
     _golden_min,
     _scan_and_refine,
+    _state_from_field,
     find_tof_for_cat,
     first_passage,
     reference_config,
@@ -100,6 +101,31 @@ class TestScanAndRefine:
         x, _ = _scan_and_refine(two_wells, grid, 1e-6, scan)
         assert x == 1.0
         assert len(seen) == 1 and seen[0] is grid
+
+
+# ---------------------------------------------------------------------------
+# field-atom product states
+
+
+@pytest.mark.parametrize("na", [1, 2, 3])
+@pytest.mark.parametrize(
+    "amplitudes",
+    [{3: 1.0}, {1: 0.6, 3: 0.8j}, {0: 0.5, 2: -0.5, 5: 0.5 + 0.5j}],
+    ids=["fock", "two-fock", "three-fock"],
+)
+def test_state_from_pure_field_is_the_product_state(amplitudes, na):
+    got = _state_from_field(pure_field(amplitudes), REF, na)
+    want = dynamics.product_state(REF, amplitudes, na)
+    assert list(got.sectors) == list(want.sectors)
+    # eigh fixes the field's vector only up to a global phase
+    m0 = min(want.sectors)
+    i0 = want.sectors[m0][0].index(na, na)
+    phase = got.sectors[m0][1][i0] / want.sectors[m0][1][i0]
+    assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+    for m, (basis, amps) in want.sectors.items():
+        got_basis, got_amps = got.sectors[m]
+        assert got_basis == basis
+        np.testing.assert_allclose(got_amps, phase * amps, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +328,12 @@ class TestFindTofForCat:
         assert window[0] <= found.t_tof <= window[1]
         assert found.t_tof > window[1] - SCAN_STEP
 
-    def test_detuned_search_leakage_matches_the_reported_pass(self):
+    @pytest.mark.parametrize("config", [REF, DETUNED], ids=["resonant", "detuned"])
+    def test_detuned_search_leakage_matches_the_reported_pass(self, config):
         # the search objective and the DP45 pass at the t_tof it found agree
         field = two_fock_field(1, 3, math.pi / 4)
-        found = find_tof_for_cat(field, DETUNED, target=1.0, window=(4.9, 6.6))
-        report = subsequent_passage(field, DETUNED, found.t_tof)
+        found = find_tof_for_cat(field, config, target=1.0, window=(4.9, 6.6))
+        report = subsequent_passage(field, config, found.t_tof)
         assert found.leakage == pytest.approx(report.leakage, abs=1e-9)
 
     def test_window_validation(self):
@@ -378,3 +405,18 @@ class TestRunProtocol:
             PassSpec(schedule=CONSTANT_SCHEDULE, na=0)
         with pytest.raises(ValidationError):
             run_protocol(ProtocolSpec(config=REF, nu0=-1))
+        # the first pass always sends one atom
+        with pytest.raises(ValidationError, match="one atom"):
+            run_protocol(ProtocolSpec(
+                config=REF, nu0=3,
+                passes=(PassSpec(schedule=CONSTANT_SCHEDULE, na=3),),
+            ))
+
+    @pytest.mark.parametrize("passes", [0, 1])
+    def test_xi_without_theta_is_refused(self, passes):
+        spec = ProtocolSpec(
+            config=REF, nu0=3, xi=2.0,
+            passes=(PassSpec(schedule=CONSTANT_SCHEDULE),) * passes,
+        )
+        with pytest.raises(ValidationError, match="theta"):
+            run_protocol(spec)
