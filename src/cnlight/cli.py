@@ -159,7 +159,6 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=math.pi / 4)
     p.add_argument("--xi-phase", type=float, default=0.0, dest="xi_phase",
                    help="relative phase of the upper Fock component")
-    p.add_argument("--na", type=int, default=1)
 
 
 def _photon_numbers(args: argparse.Namespace) -> Tuple[int, ...]:
@@ -195,6 +194,8 @@ def _field_from(args: argparse.Namespace) -> FieldDensityMatrix:
 
 
 def _add_flight_flags(p: argparse.ArgumentParser, t_end_help: str) -> None:
+    """Atoms and schedule of an evolution (a bare field has no atoms)."""
+    p.add_argument("--na", type=int, default=1)
     p.add_argument("--mode", choices=["constant", "bump"], default="constant")
     p.add_argument("--t-tof", type=float, default=None, dest="t_tof")
     p.add_argument("--t-end", type=float, default=None, dest="t_end",
@@ -353,7 +354,7 @@ def _cmd_husimi(args) -> int:
 
 def _cmd_symmetry(args) -> int:
     started = time.perf_counter()
-    if args.t_end is not None:
+    if args.t_end is not None or args.t_tof is not None or args.mode == "bump":
         traj = _trajectory(args, _t_end_from(args))
         field = reduce_field(traj.snapshots[-1])
     else:
@@ -583,7 +584,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_state_flags(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_flight_flags(p, "evolve before certifying (optional)")
+    _add_flight_flags(
+        p, "evolve before certifying (default: the bump's --t-tof; "
+        "no flight flag: certify the bare field)"
+    )
 
     p = add("protocol", _cmd_protocol, "multi-pass cat generation")
     _add_config_flags(p)

@@ -73,6 +73,23 @@ def _smoothstep(x):
     return out
 
 
+def _ramp(x: float) -> float:
+    """``_smoothstep`` of one float, bit for bit, without array overhead.
+
+    ``np.exp`` on a scalar rounds as the array loop does; ``math.exp``
+    does not everywhere.
+    """
+    if not x > 0.0:   # NaN too
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    a = 1.0 / x - 1.0 / (1.0 - x)
+    if a > 709.0:   # exp overflows past 709.78
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + float(np.exp(a)))
+    return 1.0 / (1.0 + float(np.exp(a)))
+
+
 def bump(t_tof: float, t):
     """Smooth compactly supported coupling envelope on (0, t_tof).
 
@@ -92,6 +109,9 @@ def bump(t_tof: float, t):
     """
     if not t_tof > 0:
         raise ValidationError(f"need t_tof > 0, got {t_tof}")
+    if isinstance(t, float):   # np.float64 too: the integrator's hot path
+        t = float(t)   # Python float arithmetic: 1/x raises no warning
+        return _ramp(t) * _ramp(float(t_tof) - t)
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
@@ -119,6 +139,8 @@ class CouplingSchedule:
 
     def envelope(self, t):
         if self.mode == "constant":
+            if isinstance(t, float):
+                return 1.0
             t_arr = np.asarray(t, dtype=float)
             return 1.0 if t_arr.ndim == 0 else np.ones_like(t_arr)
         return bump(self.t_tof, t)
@@ -369,7 +391,9 @@ def integrate_ode(
         err = h_try * _combine(_DP_E_TERMS, ks)
 
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = math.sqrt(float(np.mean(np.abs(err / sc) ** 2)))
+        r2 = np.abs(err / sc) ** 2
+        # np.mean's own sum and division, without its per-call dispatch
+        err_norm = math.sqrt(float(np.add.reduce(r2, axis=None)) / r2.size)
 
         if err_norm <= 1.0:
             stats.steps += 1
@@ -428,8 +452,10 @@ def _interaction_rhs(
     ``e`` holds the bare energies of the basis; with shape (n, 1) instead
     of (n,) the derivative acts on every column of an (n, k) matrix.
     """
+    minus_ie = -1j * e
+
     def rhs(t, phi):
-        ph = np.exp(-1j * e * t)
+        ph = np.exp(minus_ie * t)
         return (-1j * envelope(t)) * (ph.conj() * (h_base @ (ph * phi)))
 
     return rhs

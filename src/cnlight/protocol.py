@@ -451,6 +451,8 @@ def run_protocol(spec: ProtocolSpec) -> List[PassageReport]:
             f"the first pass sends one atom, got na = {spec.passes[0].na}"
         )
     if not spec.passes:
+        if spec.theta is not None:
+            raise ValidationError("theta and xi override a first pass; none given")
         return [_initial_report(spec.nu0)]
 
     reports: List[PassageReport] = []

@@ -103,6 +103,9 @@ def test_bad_grid_exits_2(capsys):
          "--t-end", "0.4", "--grid=-1:1:3"],
         ["table1", "--rows", ""],
         ["protocol", "--nu0", "3", "--passes", "1", "--force-xi", "2.0"],
+        ["husimi", "--nu0", "3", "--na", "5"],
+        ["symmetry", *XI_REF, "--nu1", "1", "--nu2", "4", "--mode", "bump"],
+        ["protocol", "--passes", "0", "--nu0", "4", "--force-theta", "1.0"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
@@ -115,6 +118,7 @@ def test_bad_grid_exits_2(capsys):
         "animate-t-end=inf", "husimi-nu0-with-nu1-nu2",
         "symmetry-nu0-with-nu1-nu2", "evolve-nu0-with-nu1-nu2",
         "animate-nu0-with-nu1-nu2", "rows=empty", "force-xi-alone",
+        "husimi-na", "symmetry-bump-without-t-tof", "force-theta-without-pass",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
@@ -220,6 +224,21 @@ def test_symmetry_pure_cat(capsys):
     assert payload["order"] == 5
     assert payload["support_differences"] == [5]
     assert payload["max_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("flight", [
+    ["--mode", "bump", "--t-tof", "3"],
+    ["--t-tof", "3"],
+])
+def test_symmetry_flight_flags_evolve_as_t_end_does(flight, capsys):
+    state = ["symmetry", *XI_REF, "--nu1", "1", "--nu2", "4"]
+    outputs = []
+    for extra in (flight, flight + ["--t-end", "3"], []):
+        assert run_command(state + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    with_flags, with_t_end, bare = outputs
+    assert with_flags == with_t_end
+    assert with_flags != bare   # the coupled pass moves the field
 
 
 def test_protocol_zero_passes(capsys):

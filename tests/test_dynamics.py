@@ -7,6 +7,7 @@ product space and projects it onto symmetrized sector vectors.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,25 @@ class TestBump:
         assert out.shape == (2, 2)
         assert isinstance(bump(8.0, 0.5), float)
 
+    @pytest.mark.parametrize("t_tof", [1.5, 2.0, 5.749, 8.0])
+    def test_scalar_path_matches_array_path_bit_for_bit(self, t_tof):
+        edges = [0.0, -0.0, 1.0, t_tof - 1.0, t_tof, 5e-324,
+                 1e-3, 1.0 - 1e-3, t_tof - 1e-3,   # exp overflows at 1e-3
+                 math.nan, math.inf, -math.inf]
+        ts = np.concatenate([np.linspace(-0.5, t_tof + 0.5, 20001), edges])
+        want = bump(t_tof, ts).tobytes()
+        for points in (ts.tolist(), list(ts)):   # float, then np.float64
+            got = [bump(t_tof, t) for t in points]
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want
+
+    def test_scalar_call_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e-3, 5e-324, 8.0 - 1e-3, math.nan, math.inf):
+                bump(8.0, t)
+                bump(8.0, np.float64(t))
+
     def test_invalid_flight_time(self):
         with pytest.raises(ValidationError):
             bump(0.0, 1.0)
@@ -101,6 +121,7 @@ class TestBump:
 class TestCouplingSchedule:
     def test_constant_envelope(self):
         assert CONSTANT_SCHEDULE.envelope(3.7) == 1.0
+        assert type(CONSTANT_SCHEDULE.envelope(np.float64(3.7))) is float
         assert np.all(CONSTANT_SCHEDULE.envelope(np.arange(5.0)) == 1.0)
 
     def test_bump_envelope_delegates(self):
@@ -303,6 +324,27 @@ def test_rhs_at_time_zero_is_minus_i_h():
     basis = build_sector_basis(REF, 1, 3)
     w = rhs_matrix(REF, basis, CONSTANT_SCHEDULE, 0.0)
     assert np.allclose(w, -1j * interaction_matrix(REF, basis), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "schedule", [CONSTANT_SCHEDULE, CouplingSchedule(mode="bump", t_tof=5.749)]
+)
+def test_rhs_matches_the_inline_expression_bit_for_bit(schedule):
+    cfg = AtomicConfig(kind=Kind.V, mu12=1.1, mu13=0.8, delta12=0.3, delta13=-0.2)
+    basis = build_sector_basis(cfg, 2, 4)
+    e = np.array([diagonal_energy(s, cfg) for s in basis.states])
+    h = interaction_matrix(cfg, basis)
+    rng = np.random.default_rng(7)
+    n = len(basis)
+    vector = rng.normal(size=n) + 1j * rng.normal(size=n)
+    matrix = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    for energies, phi in ((e, vector), (e[:, None], matrix)):
+        rhs = _interaction_rhs(energies, h, schedule.envelope)
+        for t in (0.0, 0.37, np.float64(0.9), 2.5, 5.7):
+            f = schedule.envelope(t)
+            ph = np.exp(-1j * energies * t)
+            want = (-1j * f) * (ph.conj() * (h @ (ph * phi)))
+            assert rhs(t, phi).tobytes() == want.tobytes()
 
 
 def test_rhs_scales_with_envelope():

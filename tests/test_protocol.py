@@ -420,3 +420,10 @@ class TestRunProtocol:
         )
         with pytest.raises(ValidationError, match="theta"):
             run_protocol(spec)
+
+    @pytest.mark.parametrize("xi", [None, 2.0])
+    def test_override_without_a_pass_is_refused(self, xi):
+        # with no pass there is no read-off cat for theta and xi to replace
+        spec = ProtocolSpec(config=REF, nu0=4, theta=1.0, xi=xi)
+        with pytest.raises(ValidationError, match="pass"):
+            run_protocol(spec)
