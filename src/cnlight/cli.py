@@ -156,9 +156,30 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
                    help="single Fock component")
     p.add_argument("--nu1", type=int, default=None)
     p.add_argument("--nu2", type=int, default=None)
-    p.add_argument("--theta", type=float, default=math.pi / 4)
-    p.add_argument("--xi-phase", type=float, default=0.0, dest="xi_phase",
-                   help="relative phase of the upper Fock component")
+    p.add_argument("--theta", type=float, default=None,
+                   help="mixing angle of --nu1 and --nu2 (default pi/4)")
+    p.add_argument("--xi-phase", type=float, default=None, dest="xi_phase",
+                   help="relative phase of the upper Fock component (default 0)")
+
+
+# None in the parser, so that a given value can be told from the default
+_IMPLIED_DEFAULTS = (("na", 1), ("theta", math.pi / 4), ("xi_phase", 0.0))
+
+
+def _resolve_defaults(args: argparse.Namespace) -> None:
+    """Refuse state and flight flags the command would ignore, then fill in
+    the defaults of the ones not given (before any manifest reads them)."""
+    angles = (getattr(args, "theta", None), getattr(args, "xi_phase", None))
+    if angles != (None, None) and args.nu1 is None and args.nu2 is None:
+        raise ValidationError("--theta and --xi-phase need --nu1 and --nu2")
+    if args.command == "symmetry" and args.na is not None and not _evolves(args):
+        raise ValidationError(
+            "--na needs a flight flag (--t-end, --t-tof or --mode bump): "
+            "a bare field has no atoms"
+        )
+    for name, default in _IMPLIED_DEFAULTS:
+        if hasattr(args, name) and getattr(args, name) is None:
+            setattr(args, name, default)
 
 
 def _photon_numbers(args: argparse.Namespace) -> Tuple[int, ...]:
@@ -195,7 +216,7 @@ def _field_from(args: argparse.Namespace) -> FieldDensityMatrix:
 
 def _add_flight_flags(p: argparse.ArgumentParser, t_end_help: str) -> None:
     """Atoms and schedule of an evolution (a bare field has no atoms)."""
-    p.add_argument("--na", type=int, default=1)
+    p.add_argument("--na", type=int, default=None, help="atom number (default 1)")
     p.add_argument("--mode", choices=["constant", "bump"], default="constant")
     p.add_argument("--t-tof", type=float, default=None, dest="t_tof")
     p.add_argument("--t-end", type=float, default=None, dest="t_end",
@@ -305,6 +326,11 @@ def _schedule_from(args) -> CouplingSchedule:
     return CouplingSchedule(mode="constant")
 
 
+def _evolves(args) -> bool:
+    """Whether a flight flag asks ``symmetry`` to evolve before certifying."""
+    return args.t_end is not None or args.t_tof is not None or args.mode == "bump"
+
+
 def _t_end_from(args) -> float:
     """--t-end, or the bump's --t-tof when --t-end is not given."""
     t_end = args.t_end if args.t_end is not None else args.t_tof
@@ -354,7 +380,7 @@ def _cmd_husimi(args) -> int:
 
 def _cmd_symmetry(args) -> int:
     started = time.perf_counter()
-    if args.t_end is not None or args.t_tof is not None or args.mode == "bump":
+    if _evolves(args):
         traj = _trajectory(args, _t_end_from(args))
         field = reduce_field(traj.snapshots[-1])
     else:
@@ -623,6 +649,7 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _resolve_defaults(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

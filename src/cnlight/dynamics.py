@@ -10,7 +10,9 @@ phi_a`` so that cross-sector phase relations (which carry the cyclic
 symmetry of the field) come out right.
 
 Sectors never mix: the total excitation number commutes with the
-Hamiltonian, so a multi-sector state integrates as independent runs.
+Hamiltonian.  A multi-sector state therefore integrates as one block-
+diagonal system, the sectors' energies stacked and H_int holding one block
+per sector and exact zeros elsewhere, in a single DP45 run.
 
 Searches evaluate many states of one initial state; :class:`SectorPropagator`
 serves them in closed form for resonant sectors, by two precomputed ramp
@@ -325,11 +327,6 @@ class IntegratorStats:
     rejected: int = 0
     max_norm_drift: float = 0.0
 
-    def merge(self, other: "IntegratorStats") -> None:
-        self.steps += other.steps
-        self.rejected += other.rejected
-        self.max_norm_drift = max(self.max_norm_drift, other.max_norm_drift)
-
 
 def integrate_ode(
     f: Callable[[float, np.ndarray], np.ndarray],
@@ -442,6 +439,27 @@ class Trajectory:
         return self.snapshots[i]
 
 
+def _block_system(
+    sectors: Mapping[int, Tuple[SectorBasis, np.ndarray]], config: AtomicConfig
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, slice]]:
+    """Bare energies, H_int and each sector's slice of the stacked sectors.
+
+    H_int is block diagonal: one block per sector and exact zeros
+    elsewhere, so one integration of the stacked system never mixes them.
+    """
+    n = sum(len(basis) for basis, _ in sectors.values())
+    e = np.zeros(n)
+    h = np.zeros((n, n), dtype=complex)
+    slices: Dict[int, slice] = {}
+    start = 0
+    for m, (basis, _) in sectors.items():
+        sl = slices[m] = slice(start, start + len(basis))
+        start = sl.stop
+        e[sl] = [diagonal_energy(s, config) for s in basis.states]
+        h[sl, sl] = interaction_matrix(config, basis)
+    return e, h, slices
+
+
 def _interaction_rhs(
     e: np.ndarray,
     h_base: np.ndarray,
@@ -472,15 +490,19 @@ def integrate(
 ) -> Trajectory:
     """Propagate a (multi-sector) state from tau = 0 to ``t_end``.
 
-    Each sector integrates independently in the interaction picture; the
-    returned snapshots hold physical (Schrodinger-picture) amplitudes on a
-    uniform grid of ``n_snapshots`` intervals merged with any explicitly
-    requested ``snapshot_times``.
+    All sectors integrate in one run of the block-diagonal system in the
+    interaction picture; the returned snapshots hold physical
+    (Schrodinger-picture) amplitudes on a uniform grid of ``n_snapshots``
+    intervals merged with any explicitly requested ``snapshot_times``.
+    A ``tol`` below machine epsilon is refused: its error estimates would
+    be roundoff.
     """
     if not 0 < t_end < math.inf:
         raise ValidationError(f"need a finite t_end > 0, got {t_end}")
-    if not tol > 0:
-        raise ValidationError(f"need tol > 0, got {tol}")
+    if not tol >= np.finfo(float).eps:
+        raise ValidationError(
+            f"need tol >= {np.finfo(float).eps:.3g} (machine epsilon), got {tol}"
+        )
     if n_snapshots < 1:
         raise ValidationError(f"need n_snapshots >= 1, got {n_snapshots}")
     if not abs(initial.norm() - 1.0) <= 1e-9:   # NaN fails too
@@ -496,25 +518,24 @@ def integrate(
         keep = np.concatenate([[True], np.diff(grid) > 1e-12])
         grid = grid[keep]
 
-    stats = IntegratorStats()
-    per_sector: Dict[int, list] = {}
-    for m, (basis, amps) in initial.sectors.items():
-        e = np.array([diagonal_energy(s, config) for s in basis.states])
-        h_base = interaction_matrix(config, basis)
-        rhs = _interaction_rhs(e, h_base, schedule.envelope)
-        samples, st = integrate_ode(rhs, amps, 0.0, t_end, tol, grid)
+    e, h_base, slices = _block_system(initial.sectors, config)
+    y0 = np.concatenate([amps for _, amps in initial.sectors.values()])
+    rhs = _interaction_rhs(e, h_base, schedule.envelope)
+    samples, stats = integrate_ode(rhs, y0, 0.0, t_end, tol, grid)
+    ts = np.array([t for t, _ in samples])
+    ys = np.array([y for _, y in samples])
+    for m, (_, amps) in initial.sectors.items():
         n0 = float(np.linalg.norm(amps))
-        drift = max(abs(float(np.linalg.norm(y)) - n0) for _, y in samples)
-        st.max_norm_drift = max(st.max_norm_drift, drift)
-        stats.merge(st)
-        # back to physical amplitudes
-        per_sector[m] = [
-            (basis, np.exp(-1j * e * t) * phi) for t, phi in samples
-        ]
-
+        drift = max(abs(float(np.linalg.norm(y)) - n0) for y in ys[:, slices[m]])
+        stats.max_norm_drift = max(stats.max_norm_drift, drift)
+    # back to physical amplitudes, one row per snapshot; each sector's
+    # amplitudes are a view of its own slice of that row
+    rows = np.exp((-1j * e)[None, :] * ts[:, None]) * ys
     snapshots = tuple(
-        SystemState(sectors={m: per_sector[m][i] for m in initial.sectors})
-        for i in range(len(grid))
+        SystemState(sectors={
+            m: (basis, row[slices[m]]) for m, (basis, _) in initial.sectors.items()
+        })
+        for row in rows
     )
     return Trajectory(times=grid, snapshots=snapshots, stats=stats)
 
@@ -568,8 +589,9 @@ class SectorPropagator:
 
       where diag(E) + H_int = W diag(lam) W^dag.  Neither ramp depends on
       t_tof, and as the Hamiltonian is real symmetric U_exit = U_entry^T.
-      Each sector's entry ramp is integrated (DP45 at DEFAULT_TOL, all basis
-      states at once) at most once, on the first such request.
+      The entry ramps of all sectors are integrated in one DP45 run (at
+      DEFAULT_TOL, every basis state of the block-diagonal system at
+      once) at most once, on the first such request.
     * **Anything else** (detuned partial passes, constant coupling, bumps
       with t_tof < 2, whose ramps overlap): one :func:`integrate` call at
       SEARCH_TOL with the requested times as snapshot times.
@@ -578,17 +600,16 @@ class SectorPropagator:
     def __init__(self, initial: SystemState, config: AtomicConfig):
         self._initial = initial
         self._config = config
-        self._energies = {
-            m: np.array([diagonal_energy(s, config) for s in basis.states])
-            for m, (basis, _) in initial.sectors.items()
-        }
+        self._e, self._h, self._slices = _block_system(initial.sectors, config)
         self._closed = None
         self._flight = None
-        if all(np.all(e == e[0]) for e in self._energies.values()):
+        e = self._e
+        if all(np.all(e[sl] == e[sl.start]) for sl in self._slices.values()):
             self._closed = {}
             for m, (basis, amps) in initial.sectors.items():
-                lam, v = np.linalg.eigh(interaction_matrix(config, basis))
-                e0 = float(self._energies[m][0])
+                sl = self._slices[m]
+                lam, v = np.linalg.eigh(self._h[sl, sl])
+                e0 = float(e[sl.start])
                 self._closed[m] = (basis, e0, lam, v, v.conj().T @ amps)
 
     def states_at(
@@ -620,16 +641,17 @@ class SectorPropagator:
         if self._flight is None:
             # on [0, 1] the envelope of the shortest full bump is the entry ramp
             ramp = CouplingSchedule(mode="bump", t_tof=2.0)
+            e, h = self._e, self._h
+            rhs = _interaction_rhs(e[:, None], h, ramp.envelope)
+            [(_, phi)], _ = integrate_ode(
+                rhs, np.eye(len(e)), 0.0, 1.0, DEFAULT_TOL, [1.0]
+            )
+            u_block = np.exp(-1j * e)[:, None] * phi
             self._flight = {}
             for m, (basis, amps) in self._initial.sectors.items():
-                e = self._energies[m]
-                h = interaction_matrix(self._config, basis)
-                rhs = _interaction_rhs(e[:, None], h, ramp.envelope)
-                [(_, phi)], _ = integrate_ode(
-                    rhs, np.eye(len(basis)), 0.0, 1.0, DEFAULT_TOL, [1.0]
-                )
-                u_entry = np.exp(-1j * e)[:, None] * phi
-                lam, w = np.linalg.eigh(np.diag(e) + h)
+                sl = self._slices[m]
+                u_entry = u_block[sl, sl]
+                lam, w = np.linalg.eigh(np.diag(e[sl]) + h[sl, sl])
                 # U_exit W, and the plateau coefficients W^dag U_entry psi(0)
                 self._flight[m] = (
                     basis, lam, u_entry.T @ w, w.conj().T @ (u_entry @ amps)

@@ -106,6 +106,12 @@ def test_bad_grid_exits_2(capsys):
         ["husimi", "--nu0", "3", "--na", "5"],
         ["symmetry", *XI_REF, "--nu1", "1", "--nu2", "4", "--mode", "bump"],
         ["protocol", "--passes", "0", "--nu0", "4", "--force-theta", "1.0"],
+        ["symmetry", "--nu1", "2", "--nu2", "7", "--na", "3"],
+        ["husimi", "--nu0", "3", "--theta", "nan", "--grid=-1:1:2"],
+        ["animate", *XI_REF, "--nu0", "2", "--xi-phase", "0.5", "--t-end", "0.4",
+         "--grid=-1:1:3"],
+        ["evolve", "--mu12", "1", "--mu23", "1", "--nu0", "3", "--t-end", "1",
+         "--tol", "1e-300"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
@@ -119,6 +125,8 @@ def test_bad_grid_exits_2(capsys):
         "symmetry-nu0-with-nu1-nu2", "evolve-nu0-with-nu1-nu2",
         "animate-nu0-with-nu1-nu2", "rows=empty", "force-xi-alone",
         "husimi-na", "symmetry-bump-without-t-tof", "force-theta-without-pass",
+        "symmetry-na-without-flight", "husimi-theta-with-nu0",
+        "animate-xi-phase-with-nu0", "tol=1e-300",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):

@@ -568,14 +568,75 @@ class TestIntegrate:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
-         {"n_snapshots": 0}, {"n_snapshots": -1}],
-        ids=["tol=0", "tol<0", "tol=nan", "snapshots=0", "snapshots<0"],
+        [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": 1e-300},
+         {"tol": 1e-16}, {"n_snapshots": 0}, {"n_snapshots": -1}],
+        ids=["tol=0", "tol<0", "tol=nan", "tol=1e-300", "tol<eps",
+             "snapshots=0", "snapshots<0"],
     )
     def test_bad_tolerance_or_snapshot_count_is_refused(self, kwargs):
         state = ground_product_state(REF, 2)
         with pytest.raises(ValidationError):
             integrate(state, REF, CONSTANT_SCHEDULE, 1.0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "schedule", [CONSTANT_SCHEDULE, CouplingSchedule(mode="bump", t_tof=3.5)],
+        ids=["constant", "bump"],
+    )
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("na,detuned", [(1, False), (2, True)])
+    def test_one_sector_matches_the_inline_run_bit_for_bit(
+        self, kind, na, detuned, schedule
+    ):
+        deltas = (0.13, -0.07) if detuned else (0.0, 0.0)
+        cfg, state = random_detuned_state(kind, na, 2, deltas, 21)
+        basis, amps = state.sectors[2]
+        one = SystemState(sectors={2: (basis, amps / np.linalg.norm(amps))})
+        traj = integrate(one, cfg, schedule, 3.5, n_snapshots=20)
+        want = integrate_sectors_alone(one, cfg, schedule, 3.5, 1e-11, traj.times)
+        for snap, psi in zip(traj.snapshots, want[2]):
+            assert snap.sectors[2][1].tobytes() == psi.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 3),
+        m=st.integers(0, 3),
+        detuned=st.booleans(),
+        mode=st.sampled_from(["constant", "bump"]),
+        t_end=st.floats(0.5, 6.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind=Kind.XI, na=1, m=1, detuned=False, mode="bump", t_end=5.749, seed=1)
+    @example(kind=Kind.V, na=3, m=2, detuned=True, mode="constant", t_end=4.0, seed=2)
+    def test_sectors_run_together_match_each_run_alone(
+        self, kind, na, m, detuned, mode, t_end, seed
+    ):
+        deltas = (0.11, -0.06) if detuned else (0.0, 0.0)
+        cfg, state = random_detuned_state(kind, na, m, deltas, seed)
+        if mode == "bump":
+            sched = CouplingSchedule(mode="bump", t_tof=t_end)
+        else:
+            sched = CONSTANT_SCHEDULE
+        traj = integrate(state, cfg, sched, t_end, n_snapshots=10)
+        want = integrate_sectors_alone(state, cfg, sched, t_end, 1e-13, traj.times)
+        for i, snap in enumerate(traj.snapshots):
+            assert sorted(snap.sectors) == sorted(state.sectors)
+            for mm, psis in want.items():
+                np.testing.assert_allclose(
+                    snap.sectors[mm][1], psis[i], rtol=0, atol=1e-9
+                )
+
+    def test_all_sectors_take_one_integration(self, monkeypatch):
+        ranks = spy_on_integrate_ode(monkeypatch)
+        cfg, state = random_detuned_state(Kind.LAMBDA, 2, 1, (0.2, -0.1), 15)
+        assert len(state.sectors) == 2
+        traj = integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=3.0), 3.0)
+        assert ranks == [1]
+        # the sectors are disjoint views: writing into one touches no other
+        snap = traj.snapshots[-1]
+        before = snap.sectors[3][1].copy()
+        snap.sectors[1][1][:] = 0.0
+        assert snap.sectors[3][1].tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +678,17 @@ def random_detuned_state(kind, na, m, deltas, seed):
     mus = {name: getattr(cfg, name) for name in _ALLOWED[kind]}
     cfg = AtomicConfig(kind=kind, **mus, **dict(zip(_DETUNINGS[kind], deltas)))
     return cfg, state
+
+
+def integrate_sectors_alone(state, cfg, schedule, t_end, tol, times):
+    """{m: physical amplitudes at ``times``}, one integrate_ode run per sector."""
+    out = {}
+    for m, (basis, amps) in state.sectors.items():
+        e = np.array([diagonal_energy(s, cfg) for s in basis.states])
+        rhs = _interaction_rhs(e, interaction_matrix(cfg, basis), schedule.envelope)
+        samples, _ = integrate_ode(rhs, amps, 0.0, t_end, tol, times)
+        out[m] = [np.exp(-1j * e * t) * phi for t, phi in samples]
+    return out
 
 
 def spy_on_integrate(monkeypatch):
@@ -776,8 +848,9 @@ class TestFlightPropagator:
         ranks = spy_on_integrate_ode(monkeypatch)
         sched = CouplingSchedule(mode="bump", t_tof=t_tof)
         SectorPropagator(state, cfg).states_at(sched, [t_tof])
+        assert len(state.sectors) == 2
         assert calls == [(t_tof, SEARCH_TOL)]
-        assert ranks == [1] * len(state.sectors)
+        assert ranks == [1]   # one run for both sectors
 
 
 class TestSectorPropagator:
@@ -826,13 +899,14 @@ class TestSectorPropagator:
         prop.states_at(CONSTANT_SCHEDULE, [0.0, 3.0])
         assert ranks == []
 
-    def test_detuned_ramps_integrate_once_per_sector_on_demand(self, monkeypatch):
+    def test_detuned_ramps_integrate_once_per_state_on_demand(self, monkeypatch):
         ranks = spy_on_integrate_ode(monkeypatch)
         cfg, state = random_detuned_state(Kind.V, 2, 2, (0.2, 0.1), 14)
+        assert len(state.sectors) == 2
         prop = SectorPropagator(state, cfg)
         assert ranks == []
         prop.states_at(CouplingSchedule(mode="bump", t_tof=5.0), [3.0])
-        assert 2 not in ranks       # a partial pass takes no ramp
+        assert ranks == [1]         # a partial pass takes no ramp
         for t_tof in (2.0, 3.3, 5.0, 7.5, 3.3):
             prop.states_at(CouplingSchedule(mode="bump", t_tof=t_tof), [t_tof])
-        assert ranks.count(2) == len(state.sectors)
+        assert ranks == [1, 2]      # one ramp run for both sectors
