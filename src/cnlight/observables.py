@@ -7,13 +7,20 @@ distinct photon number, so sector-diagonal blocks contribute only to the
 diagonal of rho_F, while cross-sector terms land on the stripe
 |nu - nu'| = |M - M'| picked out by shared (q, r) labels.  That stripe
 structure is what makes the cyclic order of a state detectable by a gcd.
+
+Which pairs of stacked basis states share (q, r) depends only on the
+sector bases, so the reduction is one gather of a_i conj(a_j) over that
+pair list and one scatter-add onto rho.  ``reduce_fields`` does this for
+every snapshot of a trajectory in one array pass and runs the checks of
+``FieldDensityMatrix`` over the whole stack; ``reduce_field`` is its
+one-snapshot case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +34,10 @@ __all__ = [
     "DEFAULT_GRID",
     "pure_field",
     "reduce_field",
+    "reduce_fields",
     "photon_probabilities",
     "linear_entropy",
+    "linear_entropies",
     "husimi",
     "husimi_values",
     "husimi_two_fock",
@@ -54,14 +63,7 @@ class FieldDensityMatrix:
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValidationError(f"rho must be square, got shape {rho.shape}")
         object.__setattr__(self, "rho", rho)
-        if not np.all(np.isfinite(rho)):
-            raise ValidationError("rho has a non-finite entry")
-        herm = float(np.max(np.abs(rho - rho.conj().T))) if rho.size else 0.0
-        if herm > 1e-8:
-            raise ValidationError(f"rho is not Hermitian (asymmetry {herm:.3g})")
-        tr = float(np.real(np.trace(rho)))
-        if abs(tr - 1.0) > 1e-6:
-            raise ValidationError(f"rho trace {tr} is not 1")
+        _check_rhos(rho[None])
 
     @property
     def nu_max(self) -> int:
@@ -73,6 +75,31 @@ class FieldDensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.rho)[0])
+
+
+def _check_rhos(rhos: np.ndarray) -> None:
+    """The checks of a FieldDensityMatrix, run at once over a (T, d, d) stack.
+
+    Every rho must be finite, Hermitian to 1e-8 and of trace 1 to 1e-6.
+    A failure in a stack of several names the first offending row.
+    """
+    def refuse(bad: np.ndarray, why: Callable[[int], str]) -> None:
+        k = int(np.argmax(bad))
+        row = f" {k}" if len(rhos) > 1 else ""
+        raise ValidationError(f"rho{row} {why(k)}")
+
+    if not np.isfinite(rhos).all():
+        refuse(~np.isfinite(rhos).all(axis=(1, 2)), lambda k: "has a non-finite entry")
+    if rhos.size:
+        asym = np.abs(rhos - rhos.swapaxes(1, 2).conj())
+        if asym.max() > 1e-8:
+            herm = asym.max(axis=(1, 2))
+            refuse(herm > 1e-8,
+                   lambda k: f"is not Hermitian (asymmetry {herm[k]:.3g})")
+    tr = rhos.trace(axis1=1, axis2=2).real
+    off = np.abs(tr - 1.0)
+    if off.max() > 1e-6:
+        refuse(off > 1e-6, lambda k: f"trace {tr[k]} is not 1")
 
 
 @dataclass(frozen=True)
@@ -124,32 +151,119 @@ class SymmetryReport:
 # ------------------------------------------------------------------
 
 def pure_field(amplitudes: Dict[int, complex]) -> FieldDensityMatrix:
-    """|psi><psi| for psi = sum of c_nu |nu> from {nu: c_nu}, normalised."""
+    """|psi><psi| for psi = sum of c_nu |nu> from {nu: c_nu}, normalised.
+
+    Raises ValidationError for a negative photon number, an empty or
+    all-zero map and a non-finite amplitude.
+    """
+    if not amplitudes:
+        raise ValidationError("need at least one photon-number amplitude")
+    if min(amplitudes) < 0:
+        raise ValidationError(
+            f"photon numbers must be >= 0, got {sorted(amplitudes)}"
+        )
     vec = np.zeros(max(amplitudes) + 1, dtype=complex)
     for nu, amp in amplitudes.items():
         vec[nu] = amp
-    vec /= np.linalg.norm(vec)
+    if not np.all(np.isfinite(vec)):
+        raise ValidationError(f"need finite amplitudes, got {amplitudes}")
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        raise ValidationError("every amplitude is zero")
+    vec /= norm
     return FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
+
+
+def _amplitude_rows(states: Sequence[SystemState]):
+    """Field dimension, sector bases in label order and the (T, N) array of
+    the states' stacked amplitudes.
+
+    Every state must have the sectors of the first, on the same bases, and
+    finite amplitudes.
+    """
+    if not states:
+        raise ValidationError("need at least one state")
+    sectors = states[0].sectors
+    if not sectors:
+        raise ValidationError("state has no sectors")
+    if any(s.sectors.keys() != sectors.keys() for s in states):
+        raise ValidationError("states of one stack must share their sectors")
+    bases, blocks = [], []
+    for m in sorted(sectors):
+        basis = sectors[m][0]
+        column = [s.sectors[m] for s in states]
+        if any(b is not basis and b.states != basis.states for b, _ in column):
+            raise ValidationError("states of one stack must share their bases")
+        bases.append(basis)
+        blocks.append(np.array([a for _, a in column], dtype=complex))
+    rows = np.concatenate(blocks, axis=1)
+    if not np.isfinite(rows).all():
+        k = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise ValidationError(f"state {k} has a non-finite amplitude")
+    return max(sectors) + 1, bases, rows
+
+
+def _pair_list(dim: int, bases):
+    """Gather and scatter indices of the reduction on stacked ``bases``.
+
+    Returns the pairs (i, j) of stacked basis states that share their
+    matter labels (q, r), grouped by the flat rho entry nu_i * dim + nu_j
+    they land on (in the order of sector pairs, then basis order, within
+    a group), the start of each group, and each group's entry.
+    """
+    tagged, offset = [], 0
+    for b in bases:
+        tagged.append(
+            {(s.q, s.r): (offset + k, s.nu) for k, s in enumerate(b.states)}
+        )
+        offset += len(b)
+    pairs = []   # (rho entry, position in the loop, i, j)
+    for d1 in tagged:
+        for d2 in tagged:
+            for qr, (i, nu1) in d1.items():
+                hit = d2.get(qr)
+                if hit is not None:
+                    pairs.append((nu1 * dim + hit[1], len(pairs), i, hit[0]))
+    pairs.sort()
+    entry, _, gather_i, gather_j = zip(*pairs)
+    starts = [
+        k for k in range(len(entry)) if k == 0 or entry[k] != entry[k - 1]
+    ]
+    return (
+        np.array(gather_i), np.array(gather_j),
+        np.array(starts), np.array([entry[k] for k in starts]),
+    )
+
+
+def _reduce(dim: int, bases, rows: np.ndarray) -> np.ndarray:
+    """Unchecked reduced fields, (T, dim, dim), of amplitude rows on ``bases``.
+
+    One gather of a_i conj(a_j) over the pair list and one scatter-add of
+    each group onto its rho entry serve every row at once.
+    """
+    gather_i, gather_j, starts, entries = _pair_list(dim, bases)
+    prods = rows.take(gather_i, axis=1) * rows.take(gather_j, axis=1).conj()
+    rhos = np.zeros((len(rows), dim * dim), dtype=complex)
+    rhos[:, entries] = np.add.reduceat(prods, starts, axis=1)
+    return rhos.reshape(len(rows), dim, dim)
 
 
 def reduce_field(state: SystemState) -> FieldDensityMatrix:
     """Trace out the matter labels of a (normalized) multi-sector state."""
-    nu_max = max(state.sectors)
-    rho = np.zeros((nu_max + 1, nu_max + 1), dtype=complex)
-    # per sector: matter label -> (photon number, amplitude)
-    tagged = []
-    for _, (basis, amps) in sorted(state.sectors.items()):
-        tagged.append({
-            (s.q, s.r): (s.nu, amps[i]) for i, s in enumerate(basis.states)
-        })
-    for d1 in tagged:
-        for d2 in tagged:
-            for qr, (nu1, a1) in d1.items():
-                hit = d2.get(qr)
-                if hit is not None:
-                    nu2, a2 = hit
-                    rho[nu1, nu2] += a1 * np.conj(a2)
-    return FieldDensityMatrix(rho=rho)
+    return FieldDensityMatrix(rho=_reduce(*_amplitude_rows([state]))[0])
+
+
+def reduce_fields(states: Sequence[SystemState]) -> np.ndarray:
+    """Reduced field rho of every state, stacked as (T, nu_max + 1, nu_max + 1).
+
+    The states must share their sector bases, as the snapshots of one
+    trajectory do; the pair list is then built once for all of them.
+    Every rho passes the checks of a FieldDensityMatrix, else
+    ValidationError.
+    """
+    rhos = _reduce(*_amplitude_rows(states))
+    _check_rhos(rhos)
+    return rhos
 
 
 def photon_probabilities(rho: FieldDensityMatrix) -> np.ndarray:
@@ -159,8 +273,12 @@ def photon_probabilities(rho: FieldDensityMatrix) -> np.ndarray:
 
 def linear_entropy(rho: FieldDensityMatrix) -> float:
     """S_L = 1 - Tr(rho^2); zero iff pure."""
-    r = rho.rho
-    return float(1.0 - np.sum(np.abs(r) ** 2))
+    return float(linear_entropies(rho.rho[None])[0])
+
+
+def linear_entropies(rhos: np.ndarray) -> np.ndarray:
+    """S_L of every rho of a (T, d, d) stack, as from ``reduce_fields``."""
+    return 1.0 - np.sum(np.abs(rhos) ** 2, axis=(1, 2))
 
 
 # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,10 +47,12 @@ from .observables import (
     FieldDensityMatrix,
     SymmetryReport,
     detect_cyclic_symmetry,
+    linear_entropies,
     linear_entropy,
     photon_probabilities,
     pure_field,
     reduce_field,
+    reduce_fields,
 )
 
 __all__ = [
@@ -185,9 +187,8 @@ def _scan_and_refine(
 
 
 def _entropy_trace(traj: Trajectory) -> np.ndarray:
-    return np.array(
-        [linear_entropy(reduce_field(s)) for s in traj.snapshots]
-    )
+    """S_L of every snapshot, from one reduction of the whole trajectory."""
+    return linear_entropies(reduce_fields(traj.snapshots))
 
 
 def _pure_amplitudes(field: FieldDensityMatrix) -> np.ndarray:
@@ -288,7 +289,10 @@ def _passage_report(
 # ------------------------------------------------------------------
 
 def first_passage(
-    nu0: int, config: AtomicConfig, schedule: CouplingSchedule
+    nu0: int,
+    config: AtomicConfig,
+    schedule: CouplingSchedule,
+    components: Optional[Dict[int, complex]] = None,
 ) -> PassageReport:
     """Send one ground-state ladder atom through |nu0>.
 
@@ -298,8 +302,10 @@ def first_passage(
     refinement, each evaluated by one :class:`SectorPropagator`: in closed
     form on a resonant configuration, otherwise by one integration for the
     whole grid and one per refinement probe.  The reported pass is always
-    integrated.  Raises MinimumNotFoundError when the minimum never drops
-    below EXIT_THRESHOLD.
+    integrated.  ``components`` ({nu0 - 2: c, nu0: c'}), when given,
+    replace the read-off of the exit amplitudes: the report hands on and
+    certifies that field instead.  Raises MinimumNotFoundError when the
+    minimum never drops below EXIT_THRESHOLD.
     """
     if config.kind is not Kind.XI:
         raise ValidationError("the first passage needs a ladder configuration")
@@ -341,11 +347,12 @@ def first_passage(
         )
 
     final = integrate(initial, config, schedule, t_exit)
-    _, amps = final.snapshots[-1].sectors[nu0]
-    components = {
-        nu0 - 2: complex(amps[basis.index(0, 0)]),
-        nu0: complex(amps[basis.index(1, 1)]),
-    }
+    if components is None:
+        _, amps = final.snapshots[-1].sectors[nu0]
+        components = {
+            nu0 - 2: complex(amps[basis.index(0, 0)]),
+            nu0: complex(amps[basis.index(1, 1)]),
+        }
     return _passage_report(final, components, min_probability=p_min)
 
 
@@ -459,19 +466,14 @@ def run_protocol(spec: ProtocolSpec) -> List[PassageReport]:
     field: Optional[FieldDensityMatrix] = None
     for i, ps in enumerate(spec.passes):
         if i == 0:
-            rep = first_passage(spec.nu0, spec.config, ps.schedule)
+            forced = None
             if spec.theta is not None:
                 xi = spec.xi if spec.xi is not None else 0.0
-                lo, hi = spec.nu0 - 2, spec.nu0
                 forced = {
-                    lo: complex(math.cos(spec.theta)),
-                    hi: math.sin(spec.theta) * np.exp(1j * xi),
+                    spec.nu0 - 2: complex(math.cos(spec.theta)),
+                    spec.nu0: math.sin(spec.theta) * np.exp(1j * xi),
                 }
-                fld, th, x = _read_off(forced)
-                rep = replace(
-                    rep, field=fld, symmetry=detect_cyclic_symmetry(fld),
-                    theta=th, xi=x,
-                )
+            rep = first_passage(spec.nu0, spec.config, ps.schedule, forced)
         else:
             if ps.exit_policy == "search":
                 ref = ps.schedule.t_tof

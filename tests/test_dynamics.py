@@ -32,6 +32,8 @@ from cnlight.dynamics import (
     Trajectory,
     _combine,
     _interaction_rhs,
+    _pulse_area,
+    _quadrature_area,
     bump,
     diagonal_energy,
     ground_product_state,
@@ -731,6 +733,78 @@ def assert_matches_integrator(state, cfg, sched, times, atol):
         assert sorted(g.sectors) == sorted(state.sectors)
         for mm, (_, amps) in want.state_at(t).sectors.items():
             np.testing.assert_allclose(g.sectors[mm][1], amps, rtol=0, atol=atol)
+
+
+def spy_on_quadrature(monkeypatch):
+    """Record the time of every quadrature of the envelope."""
+    times = []
+    real = dynamics._quadrature_area
+
+    def spy(schedule, t):
+        times.append(t)
+        return real(schedule, t)
+
+    monkeypatch.setattr(dynamics, "_quadrature_area", spy)
+    return times
+
+
+class TestPulseArea:
+    """The closed-form area of a full bump against its quadrature."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(t_tof=st.floats(2.0, 20.0), frac=st.floats(0.0, 1.0))
+    @example(t_tof=2.0, frac=0.0)
+    @example(t_tof=5.749, frac=1.0)
+    def test_plateau_matches_the_quadrature_bit_for_bit(self, t_tof, frac):
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        t = min(1.0 + frac * (t_tof - 2.0), t_tof - 1.0)
+        assert _pulse_area(sched, t) == 0.5 + (t - 1.0)
+        assert _pulse_area(sched, t) == _quadrature_area(sched, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t_tof=st.floats(2.0, 20.0), past=st.floats(0.0, 10.0))
+    @example(t_tof=2.0, past=0.0)
+    @example(t_tof=20.0, past=0.0)
+    def test_exit_and_past_match_the_quadrature_bit_for_bit(self, t_tof, past):
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        t = t_tof + past
+        assert _pulse_area(sched, t) == t_tof - 1.0
+        assert _pulse_area(sched, t) == _quadrature_area(sched, t)
+
+    def test_closed_forms_take_no_quadrature(self, monkeypatch):
+        calls = spy_on_quadrature(monkeypatch)
+        sched = CouplingSchedule(mode="bump", t_tof=5.749)
+        for t in (1.0, 2.5, 4.749, 5.749, 9.0):
+            _pulse_area(sched, t)
+        assert calls == []
+
+    @pytest.mark.parametrize("t_tof, t", [
+        (5.749, 0.3),      # entry ramp
+        (5.749, 0.999),
+        (5.749, 5.2),      # exit ramp
+        (2.0, 1.5),
+        (1.999, 1.0),      # overlapping ramps, at every time
+        (1.5, 0.75),
+        (1.5, 1.5),
+        (0.5, 3.0),
+    ])
+    def test_partial_ramps_and_short_flights_take_the_quadrature(
+        self, monkeypatch, t_tof, t
+    ):
+        calls = spy_on_quadrature(monkeypatch)
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        area = _pulse_area(sched, t)
+        assert calls == [t]
+        cuts = [c for c in (1.0, t_tof - 1.0) if 0.0 < c < t]
+        want, _ = quad(lambda x: bump(t_tof, x), 0.0, t, points=cuts or None,
+                       epsabs=1e-12, epsrel=1e-12)
+        assert area == pytest.approx(want, abs=1e-11)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.5, 7.1, 19.9])
+    def test_constant_schedule_returns_t(self, monkeypatch, t):
+        calls = spy_on_quadrature(monkeypatch)
+        assert _pulse_area(CONSTANT_SCHEDULE, t) == pytest.approx(t, rel=1e-15, abs=0)
+        assert calls == [t]
 
 
 class TestExactPropagator:

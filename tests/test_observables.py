@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnlight import observables
 from cnlight.analytic_core import evolve_ground_analytic
 from cnlight.dynamics import (
     CONSTANT_SCHEDULE,
+    CouplingSchedule,
     SystemState,
     ground_product_state,
     integrate,
@@ -23,9 +26,12 @@ from cnlight.observables import (
     husimi,
     husimi_two_fock,
     husimi_values,
+    linear_entropies,
     linear_entropy,
     photon_probabilities,
+    pure_field,
     reduce_field,
+    reduce_fields,
 )
 
 REF = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0))
@@ -157,6 +163,143 @@ class TestReduceFieldProperties:
         assert abs(np.trace(rho).imag) < 1e-14
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+def reduce_field_by_dicts(state):
+    """Matter labels traced out by a dict per sector and a pair loop: the
+    reduction written out entry by entry, kept as the oracle."""
+    nu_max = max(state.sectors)
+    rho = np.zeros((nu_max + 1, nu_max + 1), dtype=complex)
+    # per sector: matter label -> (photon number, amplitude)
+    tagged = []
+    for _, (basis, amps) in sorted(state.sectors.items()):
+        tagged.append({
+            (s.q, s.r): (s.nu, amps[i]) for i, s in enumerate(basis.states)
+        })
+    for d1 in tagged:
+        for d2 in tagged:
+            for qr, (nu1, a1) in d1.items():
+                hit = d2.get(qr)
+                if hit is not None:
+                    nu2, a2 = hit
+                    rho[nu1, nu2] += a1 * np.conj(a2)
+    return rho
+
+
+# the stacked reduction sums the same products in the same order, but a
+# vectorised complex product may round differently from a scalar one
+STACK_ATOL = 1e-15
+
+
+class TestReduceFields:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 3),
+        ms=st.sets(st.integers(0, 6), min_size=1, max_size=4),
+        detuned=st.booleans(),
+        mode=st.sampled_from(["constant", "bump"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_pair_loop(self, kind, na, ms, detuned, mode, seed):
+        state = random_multi_sector_state(kind, na, sorted(ms), seed)
+        couplings = {mu: 0.8 + 0.1 * k for k, mu in enumerate(_COUPLINGS[kind])}
+        # each coupling's transition, detuned by a few per cent
+        deltas = {
+            "delta" + mu[2:]: (0.07 - 0.11 * k if detuned else 0.0)
+            for k, mu in enumerate(_COUPLINGS[kind])
+        }
+        cfg = AtomicConfig(kind=kind, **couplings, **deltas)
+        schedule = CouplingSchedule(mode=mode, t_tof=2.5 if mode == "bump" else 0.0)
+        traj = integrate(state, cfg, schedule, 2.5, tol=1e-8, n_snapshots=12)
+
+        rhos = reduce_fields(traj.snapshots)
+        entropies = linear_entropies(rhos)
+        assert rhos.shape == (len(traj.snapshots), max(ms) + 1, max(ms) + 1)
+        for snap, rho, s_l in zip(traj.snapshots, rhos, entropies):
+            want = reduce_field_by_dicts(snap)
+            assert np.max(np.abs(rho - want)) <= STACK_ATOL
+            assert abs(s_l - (1.0 - np.sum(np.abs(want) ** 2))) <= STACK_ATOL
+            # reduce_field is the one-snapshot case of the same code
+            one = reduce_field(snap)
+            assert np.max(np.abs(one.rho - want)) <= STACK_ATOL
+            assert np.max(np.abs(
+                photon_probabilities(one) - np.real(np.diag(want))
+            )) <= STACK_ATOL
+            assert abs(linear_entropy(one) - s_l) <= STACK_ATOL
+
+    def trajectory(self):
+        state = make_superposition(1, 3, 0.7, 0.4, 2, REF)
+        return integrate(state, REF, CONSTANT_SCHEDULE, 1.0, n_snapshots=5)
+
+    def test_one_state_with_a_wrong_trace_fails_the_stack(self):
+        snaps = list(self.trajectory().snapshots)
+        snaps[3] = SystemState(sectors={
+            m: (b, 1.1 * a) for m, (b, a) in snaps[3].sectors.items()
+        })
+        with pytest.raises(ValidationError, match="rho 3 trace"):
+            reduce_fields(snaps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_non_finite_state_fails_the_stack(self, bad):
+        snaps = list(self.trajectory().snapshots)
+        m, (basis, amps) = next(iter(snaps[2].sectors.items()))
+        amps = amps.copy()
+        amps[0] = bad
+        snaps[2] = SystemState(sectors={**snaps[2].sectors, m: (basis, amps)})
+        with pytest.raises(ValidationError, match="state 2 has a non-finite"):
+            reduce_fields(snaps)
+        with pytest.raises(ValidationError, match="non-finite"):
+            reduce_field(snaps[2])
+
+    @pytest.mark.parametrize("entry, shift, message", [
+        ((1, 3), 1e-6, "is not Hermitian"),
+        ((0, 0), 0.1, "trace"),
+        ((0, 0), np.nan, "has a non-finite entry"),
+    ], ids=["non-hermitian", "wrong-trace", "non-finite"])
+    def test_one_bad_row_fails_the_stack_checks(self, entry, shift, message):
+        # a reduction is Hermitian by construction, so the checks are fed a
+        # corrupted stack directly
+        rhos = reduce_fields(self.trajectory().snapshots)
+        observables._check_rhos(rhos)
+        rhos[(4,) + entry] += shift
+        with pytest.raises(ValidationError, match=f"rho 4 {message}"):
+            observables._check_rhos(rhos)
+
+    def test_states_of_one_stack_share_their_sectors(self):
+        a = make_superposition(1, 3, 0.7, 0.4, 1, REF)
+        b = make_superposition(1, 5, 0.7, 0.4, 1, REF)
+        c = make_superposition(1, 3, 0.7, 0.4, 2, REF)
+        for other in (b, c, ground_product_state(REF, 3)):
+            with pytest.raises(ValidationError, match="share"):
+                reduce_fields([a, other])
+        with pytest.raises(ValidationError):
+            reduce_fields([])
+
+
+@pytest.mark.parametrize("amplitudes", [
+    {3: 1.0, -1: 1.0},
+    {-2: 1.0},
+    {},
+    {2: 0.0},
+    {0: 0.0, 4: 0j},
+    {2: math.nan},
+    {1: 1.0, 2: math.inf},
+    {1: complex(0.0, math.nan)},
+], ids=["negative", "only-negative", "empty", "zero", "all-zero", "nan", "inf",
+        "complex-nan"])
+def test_pure_field_refuses_bad_amplitudes(amplitudes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            pure_field(amplitudes)
+
+
+def test_pure_field_normalises():
+    rho = pure_field({1: 3.0, 4: 4j}).rho
+    assert rho[1, 1] == pytest.approx(0.36)
+    assert rho[4, 4] == pytest.approx(0.64)
+    assert rho[1, 4] == pytest.approx(3.0 * -4j / 25.0)
 
 
 class TestEntropy:

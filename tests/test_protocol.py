@@ -22,6 +22,7 @@ from cnlight.protocol import (
     PassSpec,
     ProtocolSpec,
     _golden_min,
+    _read_off,
     _scan_and_refine,
     _state_from_field,
     find_tof_for_cat,
@@ -386,6 +387,47 @@ class TestRunProtocol:
         (report,) = run_protocol(spec)
         assert report.theta == pytest.approx(1.0, abs=1e-12)
         assert report.xi == pytest.approx(2.0, abs=1e-12)
+
+    def test_forced_theta_certifies_each_kept_field_once(self, monkeypatch):
+        theta, xi = 1.0, 2.0
+        first = PassSpec(schedule=CouplingSchedule(mode="bump", t_tof=8.0))
+        second = PassSpec(schedule=CouplingSchedule(mode="bump", t_tof=5.749))
+        spec = ProtocolSpec(
+            config=REF, nu0=3, theta=theta, xi=xi, passes=(first, second)
+        )
+        certified = []
+        real = protocol.detect_cyclic_symmetry
+
+        def spy(field, *args, **kwargs):
+            certified.append(field)
+            return real(field, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "detect_cyclic_symmetry", spy)
+        reports = run_protocol(spec)
+        assert [f.rho.shape for f in certified] == [(4, 4), (4, 4)]
+        assert certified == [r.field for r in reports]
+
+        # the forced field replaces the read-off one after an unforced pass
+        monkeypatch.setattr(protocol, "detect_cyclic_symmetry", real)
+        unforced = first_passage(3, REF, first.schedule)
+        field, th, x = _read_off({
+            1: complex(math.cos(theta)), 3: math.sin(theta) * np.exp(1j * xi)
+        })
+        later = subsequent_passage(field, REF, second.schedule.t_tof)
+        want = [
+            (unforced, field, real(field), th, x),
+            (later, later.field, later.symmetry, later.theta, later.xi),
+        ]
+        for got, (rep, fld, sym, th, x) in zip(reports, want):
+            assert np.array_equal(got.field.rho, fld.rho)
+            assert got.symmetry == sym
+            assert (got.theta, got.xi) == (th, x)
+            assert np.array_equal(got.probabilities, rep.probabilities)
+            assert np.array_equal(got.entropies, rep.entropies)
+            assert got.exit_time == rep.exit_time
+            assert (got.min_probability, got.leakage) == (
+                rep.min_probability, rep.leakage
+            )
 
     def test_deterministic(self):
         spec = ProtocolSpec(
