@@ -27,6 +27,7 @@ from .analytic_core import (
     step_spectrum,
 )
 from .dynamics import (
+    MAX_SNAPSHOTS,
     CouplingSchedule,
     Trajectory,
     ground_product_state,
@@ -548,6 +549,10 @@ def _cmd_animate(args) -> int:
         raise ValidationError(f"need --dt > 0, got {args.dt}")
     if args.stride < 1:
         raise ValidationError("stride must be >= 1")
+    if not t_end / args.dt <= MAX_SNAPSHOTS:
+        raise ValidationError(
+            f"--dt {args.dt} makes more than {MAX_SNAPSHOTS} frames"
+        )
     grid = _parse_grid(args.grid)
     n_frames = max(int(round(t_end / args.dt)), 1)
     traj = _trajectory(args, n_frames * args.dt,
@@ -562,6 +567,12 @@ def _cmd_animate(args) -> int:
 # ------------------------------------------------------------------
 # parser
 # ------------------------------------------------------------------
+
+TOL_HELP = (
+    "local error tolerance of the DP45 integrator; it bounds the steps and "
+    "the snapshots read off inside them (default: %(default)s)"
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -599,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_state_flags(p)
     _add_flight_flags(p, "end time (default: the bump's --t-tof)")
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=float, default=1e-11, help=TOL_HELP)
     p.add_argument("--snapshots", type=int, default=200)
 
     p = add("husimi", _cmd_husimi, "Husimi Q grid of a pure field state")
@@ -636,7 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_flight_flags(p, "end time (default: the bump's --t-tof)")
     p.add_argument("--dt", type=float, default=math.pi / 32)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--tol", type=float, default=1e-11, help=TOL_HELP)
     p.add_argument("--grid", default="-6:6:241")
     p.set_defaults(out="frames")
     return parser

@@ -1,13 +1,17 @@
 """Sector matrices, the coupling envelope, and time-dependent integration.
 
-The solver works in the interaction picture: for a sector basis
-``{|nu; na q r>}`` with diagonal energies ``E_a`` the coefficients obey
+Each sector integrates in the frame that rotates at one fixed bare energy
+E0 of that sector (the energy of its first basis state): with diagonal
+energies ``E_a`` and ``psi_a = exp(-i E0 tau) phi_a`` the coefficients obey
 
-    dphi_a/dtau = -i * sum_b exp(-i (E_b - E_a) tau) <a|H_int(tau)|b> phi_b
+    dphi/dtau = -i (f(tau) H_int + Delta) phi,    Delta = diag(E_a - E0)
 
-and snapshots convert back to physical amplitudes ``psi_a = exp(-i E_a tau)
-phi_a`` so that cross-sector phase relations (which carry the cyclic
-symmetry of the field) come out right.
+Delta is exactly zero on a resonant sector, and no phase factor is
+computed per derivative.  Snapshots convert back with exp(-i E0 tau), so
+that cross-sector phase relations (which carry the cyclic symmetry of the
+field) come out right.  The Dormand-Prince steps follow the error control
+alone; a snapshot time inside a step is read off the step's continuous
+extension.
 
 Sectors never mix: the total excitation number commutes with the
 Hamiltonian.  A multi-sector state therefore integrates as one block-
@@ -52,6 +56,7 @@ __all__ = [
 DEFAULT_TOL = 1e-11
 SEARCH_TOL = 1e-9      # integration tolerance of search probes off the exact paths
 MIN_STEP = 1e-12
+MAX_SNAPSHOTS = 10**6   # snapshot intervals of one integration
 GAUSS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the envelope
 
 
@@ -301,24 +306,32 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# the 4th-order continuous extension (Hairer, Norsett & Wanner, Solving ODEs
+# I, sec. II.6; Shampine, Math. Comp. 1986): y(t + s h) = y + h b(s) . k
+# with b_i(s) = sum_p _DP_P[i, p] s^(p+1); b(1) is the 5th-order weights
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
-
-# (weight, stage) pairs with the exact-zero weights left out.  The last row
-# of _DP_A equals the first six 5th-order weights and _DP_B5[6] is 0, so the
-# input of the 7th stage is the 5th-order solution itself.
-_DP_A_TERMS = [
-    [(float(a), j) for j, a in enumerate(row) if a != 0.0] for row in _DP_A
-]
-_DP_E_TERMS = [(float(e), j) for j, e in enumerate(_DP_E) if e != 0.0]
-
-
-def _combine(terms, ks):
-    """sum(w * ks[j]) accumulated left to right, as ``sum`` would."""
-    (w0, j0), *rest = terms
-    acc = w0 * ks[j0]
-    for w, j in rest:
-        acc += w * ks[j]
-    return acc
+# Each stage input and the error estimate is one coefficient row times the
+# (7, N) stage array: row i (i = 1..6) holds _DP_A[i] and meets the first i
+# stages only, row 7 holds _DP_E.  Complex, so that no product casts.  The
+# last row of _DP_A equals the first six 5th-order weights and _DP_B5[6] is
+# 0, so the input of the 7th stage is the 5th-order solution itself.
+_DP_ROWS = np.array(
+    [np.pad(row, (0, 7 - row.size)) for row in _DP_A] + [_DP_E], dtype=complex
+)
 
 
 @dataclass
@@ -336,16 +349,23 @@ def integrate_ode(
     tol: float,
     dense_times: Sequence[float],
 ) -> Tuple[list, IntegratorStats]:
-    """Embedded Dormand-Prince 4(5) driver hitting ``dense_times`` exactly.
+    """Embedded Dormand-Prince 4(5) driver with dense output.
 
-    The local error of each step is kept below ``tol`` in a mixed
-    absolute/relative sense; rejected attempts are counted.  The state is
-    never renormalized -- norm drift is a diagnostic, not a knob.  Raises
+    Returns one ``(t, y)`` per entry of ``dense_times``, in that order.
+    Steps are chosen by the error control alone, never clipped at a
+    snapshot time: a time inside a step is read off the 4th-order
+    continuous extension of that step, and a time at a step's end (t_end
+    included) takes the step's own 5th-order solution.  The local error of
+    each step is kept below ``tol`` in a mixed absolute/relative sense;
+    rejected attempts are counted.  The state is never renormalized --
+    norm drift is a diagnostic, not a knob.  Raises
     :class:`StepSizeUnderflowError` if stiffness forces the step below
     ``MIN_STEP``.
     """
     stats = IntegratorStats()
     y = np.array(y0, dtype=complex)
+    shape = y.shape
+    y = y.ravel()
     t = t0
     targets = [float(x) for x in dense_times]
     if any(x < t0 - 1e-15 or x > t_end + 1e-15 for x in targets):
@@ -355,37 +375,37 @@ def integrate_ode(
     pos = 0
     # record anything sitting exactly at t0
     while pos < len(order) and targets[order[pos]] <= t0 + 1e-15:
-        out[order[pos]] = (t0, y.copy())
+        out[order[pos]] = (t0, y.reshape(shape).copy())
         pos += 1
 
-    k1 = f(t, y)
+    # the stages of one step, each flat; ``ks[i] = ...`` writes stage i in
+    # the shape of y, and stage i's input reads a_rows[i] @ heads[i]
+    stages = np.zeros((7, y.size), dtype=complex)
+    ks = stages.reshape((7,) + shape)
+    heads = [stages[:i] for i in range(7)]
+    a_rows = [_DP_ROWS[i, :i] for i in range(7)]
+    c = _DP_C.tolist()
+
+    ks[0] = f(t, y.reshape(shape))
     span = t_end - t0
     scale0 = tol + tol * float(np.max(np.abs(y))) if y.size else tol
-    f0 = float(np.max(np.abs(k1))) if y.size else 0.0
+    f0 = float(np.max(np.abs(stages[0]))) if y.size else 0.0
     h = min(span, 0.1 * scale0 / f0 if f0 > 0 else 0.1 * span, 0.1 * span)
     h = max(h, MIN_STEP)
 
-    ks = [None] * 7
     while t < t_end - 1e-15:
-        # propose a step, clipped so snapshot times are hit exactly
-        h_try = min(h, t_end - t)
-        clip_to = None
-        if pos < len(order):
-            dist = targets[order[pos]] - t
-            if dist <= h_try * (1.0 + 1e-12):
-                h_try = dist
-                clip_to = targets[order[pos]]
-        if h_try < MIN_STEP and clip_to is None:
+        last = h >= t_end - t
+        h_try = t_end - t if last else h
+        if h_try < MIN_STEP and not last:
             raise StepSizeUnderflowError(
                 f"step size underflow at t={t:.6g} (h={h:.3g})"
             )
 
-        ks[0] = k1
         for i in range(1, 7):
-            yi = y + h_try * _combine(_DP_A_TERMS[i], ks)
-            ks[i] = f(t + _DP_C[i] * h_try, yi)
+            yi = y + h_try * a_rows[i].dot(heads[i])
+            ks[i] = f(t + c[i] * h_try, yi.reshape(shape))
         y5 = yi   # the last stage input is the 5th-order solution (FSAL)
-        err = h_try * _combine(_DP_E_TERMS, ks)
+        err = h_try * _DP_ROWS[7].dot(stages)
 
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
         r2 = np.abs(err / sc) ** 2
@@ -394,13 +414,25 @@ def integrate_ode(
 
         if err_norm <= 1.0:
             stats.steps += 1
-            t = clip_to if clip_to is not None else t + h_try
-            y = y5
-            k1 = ks[6]  # first-same-as-last
-            fuzz = 1e-12 * max(1.0, abs(t))
-            while pos < len(order) and targets[order[pos]] <= t + fuzz:
-                out[order[pos]] = (t, y.copy())
+            t_new = t_end if last else t + h_try
+            fuzz = 1e-12 * max(1.0, abs(t_new))
+            inside = []
+            while pos < len(order) and targets[order[pos]] <= t_new + fuzz:
+                k = order[pos]
+                if targets[k] < t_new:
+                    inside.append(k)
+                else:
+                    out[k] = (t_new, y5.reshape(shape).copy())
                 pos += 1
+            if inside:
+                s = (np.array([targets[k] for k in inside]) - t) / h_try
+                b = (s[:, None] ** np.arange(1, 5)) @ _DP_P.T
+                ys = y + h_try * (b @ stages)
+                for k, yk in zip(inside, ys):
+                    out[k] = (targets[k], yk.reshape(shape))
+            t = t_new
+            y = y5
+            stages[0] = stages[6]  # first-same-as-last
             factor = 5.0 if err_norm == 0.0 else min(
                 5.0, max(0.2, 0.9 * err_norm ** -0.2)
             )
@@ -415,7 +447,7 @@ def integrate_ode(
                 )
     # anything not consumed sits at t_end up to roundoff
     while pos < len(order):
-        out[order[pos]] = (t, y.copy())
+        out[order[pos]] = (t, y.reshape(shape).copy())
         pos += 1
     return out, stats
 
@@ -441,14 +473,17 @@ class Trajectory:
 
 def _block_system(
     sectors: Mapping[int, Tuple[SectorBasis, np.ndarray]], config: AtomicConfig
-) -> Tuple[np.ndarray, np.ndarray, Dict[int, slice]]:
-    """Bare energies, H_int and each sector's slice of the stacked sectors.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, slice]]:
+    """Bare energies, frame energies, H_int and each sector's slice.
 
-    H_int is block diagonal: one block per sector and exact zeros
+    The frame energy E0 of every basis state is the bare energy of the
+    first basis state of its sector; E - E0 is exactly zero on a resonant
+    sector.  H_int is block diagonal: one block per sector and exact zeros
     elsewhere, so one integration of the stacked system never mixes them.
     """
     n = sum(len(basis) for basis, _ in sectors.values())
     e = np.zeros(n)
+    e0 = np.zeros(n)
     h = np.zeros((n, n), dtype=complex)
     slices: Dict[int, slice] = {}
     start = 0
@@ -456,25 +491,27 @@ def _block_system(
         sl = slices[m] = slice(start, start + len(basis))
         start = sl.stop
         e[sl] = [diagonal_energy(s, config) for s in basis.states]
+        e0[sl] = e[sl.start]
         h[sl, sl] = interaction_matrix(config, basis)
-    return e, h, slices
+    return e, e0, h, slices
 
 
-def _interaction_rhs(
-    e: np.ndarray,
+def _frame_rhs(
+    delta: np.ndarray,
     h_base: np.ndarray,
     envelope: Callable[[float], float],
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """dphi/dt = -i f(t) e^{iEt} H_int e^{-iEt} phi in the interaction picture.
+    """dphi/dt = -i (f(t) H_int + Delta) phi in the sectors' rotating frames.
 
-    ``e`` holds the bare energies of the basis; with shape (n, 1) instead
-    of (n,) the derivative acts on every column of an (n, k) matrix.
+    ``delta`` holds E - E0 of every basis state, where the frame of a
+    sector rotates at its one energy E0: psi = exp(-i E0 t) phi.  The
+    derivative acts on a vector or on every column of an (n, k) matrix.
     """
-    minus_ie = -1j * e
+    minus_ih = -1j * h_base
+    minus_idelta = np.diag(-1j * delta)
 
     def rhs(t, phi):
-        ph = np.exp(minus_ie * t)
-        return (-1j * envelope(t)) * (ph.conj() * (h_base @ (ph * phi)))
+        return (envelope(t) * minus_ih + minus_idelta).dot(phi)
 
     return rhs
 
@@ -490,12 +527,15 @@ def integrate(
 ) -> Trajectory:
     """Propagate a (multi-sector) state from tau = 0 to ``t_end``.
 
-    All sectors integrate in one run of the block-diagonal system in the
-    interaction picture; the returned snapshots hold physical
-    (Schrodinger-picture) amplitudes on a uniform grid of ``n_snapshots``
-    intervals merged with any explicitly requested ``snapshot_times``.
-    A ``tol`` below machine epsilon is refused: its error estimates would
-    be roundoff.
+    All sectors integrate in one run of the block-diagonal system, each in
+    the frame rotating at its energy E0; the returned snapshots hold
+    physical (Schrodinger-picture) amplitudes psi = exp(-i E0 t) phi on a
+    uniform grid of ``n_snapshots`` intervals merged with any explicitly
+    requested ``snapshot_times``.  Snapshots inside a step come from the
+    step's continuous extension, so ``tol`` bounds them as it bounds the
+    steps.  A ``tol`` below machine epsilon is refused: its error
+    estimates would be roundoff.  So is a grid of more than MAX_SNAPSHOTS
+    intervals.
     """
     if not 0 < t_end < math.inf:
         raise ValidationError(f"need a finite t_end > 0, got {t_end}")
@@ -503,8 +543,10 @@ def integrate(
         raise ValidationError(
             f"need tol >= {np.finfo(float).eps:.3g} (machine epsilon), got {tol}"
         )
-    if n_snapshots < 1:
-        raise ValidationError(f"need n_snapshots >= 1, got {n_snapshots}")
+    if not 1 <= n_snapshots <= MAX_SNAPSHOTS:
+        raise ValidationError(
+            f"need 1 <= n_snapshots <= {MAX_SNAPSHOTS}, got {n_snapshots}"
+        )
     if not abs(initial.norm() - 1.0) <= 1e-9:   # NaN fails too
         raise ValidationError(
             f"initial state must be normalized, |norm-1| = "
@@ -518,9 +560,9 @@ def integrate(
         keep = np.concatenate([[True], np.diff(grid) > 1e-12])
         grid = grid[keep]
 
-    e, h_base, slices = _block_system(initial.sectors, config)
+    e, e0, h_base, slices = _block_system(initial.sectors, config)
     y0 = np.concatenate([amps for _, amps in initial.sectors.values()])
-    rhs = _interaction_rhs(e, h_base, schedule.envelope)
+    rhs = _frame_rhs(e - e0, h_base, schedule.envelope)
     samples, stats = integrate_ode(rhs, y0, 0.0, t_end, tol, grid)
     ts = np.array([t for t, _ in samples])
     ys = np.array([y for _, y in samples])
@@ -530,7 +572,7 @@ def integrate(
         stats.max_norm_drift = max(stats.max_norm_drift, drift)
     # back to physical amplitudes, one row per snapshot; each sector's
     # amplitudes are a view of its own slice of that row
-    rows = np.exp((-1j * e)[None, :] * ts[:, None]) * ys
+    rows = np.exp((-1j * e0)[None, :] * ts[:, None]) * ys
     snapshots = tuple(
         SystemState(sectors={
             m: (basis, row[slices[m]]) for m, (basis, _) in initial.sectors.items()
@@ -593,8 +635,8 @@ class SectorPropagator:
 
     The engine follows from the configuration, the schedule and the times:
 
-    * **Every sector resonant** (every detuning zero): the interaction-
-      picture generator f(t) H_int commutes with itself at all times, so
+    * **Every sector resonant** (every detuning zero): the rotating-frame
+      generator f(t) H_int commutes with itself at all times, so
       with H_int = V diag(lam) V^dag and the pulse area A(t) of f,
 
           psi(t) = exp(-i E0 t) V exp(-i A(t) lam) V^dag psi(0)
@@ -622,16 +664,17 @@ class SectorPropagator:
     def __init__(self, initial: SystemState, config: AtomicConfig):
         self._initial = initial
         self._config = config
-        self._e, self._h, self._slices = _block_system(initial.sectors, config)
+        self._e, self._e0, self._h, self._slices = _block_system(
+            initial.sectors, config
+        )
         self._closed = None
         self._flight = None
-        e = self._e
-        if all(np.all(e[sl] == e[sl.start]) for sl in self._slices.values()):
+        if np.array_equal(self._e, self._e0):
             self._closed = {}
             for m, (basis, amps) in initial.sectors.items():
                 sl = self._slices[m]
                 lam, v = np.linalg.eigh(self._h[sl, sl])
-                e0 = float(e[sl.start])
+                e0 = float(self._e0[sl.start])
                 self._closed[m] = (basis, e0, lam, v, v.conj().T @ amps)
 
     def states_at(
@@ -663,12 +706,12 @@ class SectorPropagator:
         if self._flight is None:
             # on [0, 1] the envelope of the shortest full bump is the entry ramp
             ramp = CouplingSchedule(mode="bump", t_tof=2.0)
-            e, h = self._e, self._h
-            rhs = _interaction_rhs(e[:, None], h, ramp.envelope)
+            e, e0, h = self._e, self._e0, self._h
+            rhs = _frame_rhs(e - e0, h, ramp.envelope)
             [(_, phi)], _ = integrate_ode(
                 rhs, np.eye(len(e)), 0.0, 1.0, DEFAULT_TOL, [1.0]
             )
-            u_block = np.exp(-1j * e)[:, None] * phi
+            u_block = np.exp(-1j * e0)[:, None] * phi
             self._flight = {}
             for m, (basis, amps) in self._initial.sectors.items():
                 sl = self._slices[m]

@@ -36,6 +36,7 @@ __all__ = [
     "reduce_field",
     "reduce_fields",
     "photon_probabilities",
+    "photon_weights",
     "linear_entropy",
     "linear_entropies",
     "husimi",
@@ -269,6 +270,26 @@ def reduce_fields(states: Sequence[SystemState]) -> np.ndarray:
 def photon_probabilities(rho: FieldDensityMatrix) -> np.ndarray:
     """P(nu) for nu = 0..nu_max; sums to the trace."""
     return np.real(np.diag(rho.rho)).copy()
+
+
+def photon_weights(state: SystemState) -> np.ndarray:
+    """P(nu) for nu = 0..nu_max of a state, without its reduced field.
+
+    P(nu) is the sum of |a|^2 over the basis states with photon number nu:
+    the diagonal of ``reduce_field(state)`` up to summation order.  The
+    checks of a FieldDensityMatrix that bear on the diagonal still apply:
+    a non-finite amplitude or a total weight off 1 by more than 1e-6 raises
+    ValidationError.
+    """
+    nus, weights = [], []
+    for basis, amps in state.sectors.values():
+        nus.extend(s.nu for s in basis.states)
+        weights.append(np.abs(amps) ** 2)
+    p = np.bincount(nus, np.concatenate(weights), minlength=state.nu_max + 1)
+    total = float(p.sum())
+    if not abs(total - 1.0) <= 1e-6:   # NaN and inf fail too
+        raise ValidationError(f"photon weights sum to {total}, not 1")
+    return p
 
 
 def linear_entropy(rho: FieldDensityMatrix) -> float:

@@ -50,6 +50,7 @@ from .observables import (
     linear_entropies,
     linear_entropy,
     photon_probabilities,
+    photon_weights,
     pure_field,
     reduce_field,
     reduce_fields,
@@ -76,6 +77,7 @@ GOLDEN_TOL = 1e-6
 PURITY_TOL = 1e-6
 DEFAULT_LEAKAGE_TARGET = 0.02
 SCAN_STEP = 0.05
+MAX_SCAN_POINTS = 10**6      # time-of-flight candidates of one search
 
 
 class TofSearchResult(NamedTuple):
@@ -395,9 +397,12 @@ def find_tof_for_cat(
     candidate: in closed form on a resonant configuration; on a detuned one
     by two precomputed ramp propagators joined by the exact plateau for
     t_tof >= 2, and by one integration from t = 0 for a shorter candidate,
-    whose ramps overlap.  Raises
+    whose ramps overlap.  The objective takes the photon statistics of each
+    exit state straight from its amplitudes (:func:`photon_weights`), with
+    no reduced field.  Raises
     TargetUnreachableError (with the best point attached) if the achieved
-    leakage stays above ``target``.
+    leakage stays above ``target``, and ValidationError for a window of
+    more than MAX_SCAN_POINTS candidates.
     """
     state = _state_from_field(field, config, na)
     if len(state.sectors) != 2:
@@ -407,6 +412,11 @@ def find_tof_for_cat(
     w0, w1 = window if window is not None else (1.0, 20.0)
     if not 0 < w0 < w1:
         raise ValidationError(f"bad search window ({w0}, {w1})")
+    if not (w1 - w0) / SCAN_STEP <= MAX_SCAN_POINTS:   # inf too
+        raise ValidationError(
+            f"search window ({w0}, {w1}) holds more than {MAX_SCAN_POINTS} "
+            f"candidates {SCAN_STEP} apart"
+        )
 
     candidates = np.arange(w0, w1 + SCAN_STEP / 2, SCAN_STEP)
     # the last step may land up to SCAN_STEP / 2 past the window: drop it
@@ -417,8 +427,7 @@ def find_tof_for_cat(
     def leakage_at(t: float) -> float:
         schedule = CouplingSchedule(mode="bump", t_tof=t)
         (exit_state,) = propagator.states_at(schedule, [t])
-        probs = photon_probabilities(reduce_field(exit_state))
-        return _leakage(probs, _exit_components(exit_state))
+        return _leakage(photon_weights(exit_state), _exit_components(exit_state))
 
     t_best, leak_best = _scan_and_refine(leakage_at, candidates, 1e-5)
     if leak_best > target:

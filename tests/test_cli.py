@@ -112,6 +112,16 @@ def test_bad_grid_exits_2(capsys):
          "--grid=-1:1:3"],
         ["evolve", "--mu12", "1", "--mu23", "1", "--nu0", "3", "--t-end", "1",
          "--tol", "1e-300"],
+        # grids numpy refuses to size (or that overflow an int) before any
+        # allocation
+        ["protocol", "--nu0", "3", "--passes", "2", "--t-tof-first", "8",
+         "--t-tof-ref", "1e300"],
+        ["animate", "--nu1", "1", "--nu2", "5", "--mode", "bump", "--t-tof", "4",
+         "--dt", "1e-300", "--grid=-4:4:5"],
+        ["evolve", "--nu0", "3", "--t-end", "1",
+         "--snapshots", "1000000000000000000000000000000"],
+        ["animate", *XI_REF, "--nu0", "2", "--t-end", "4", "--dt", "5e-324",
+         "--grid=-1:1:3"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
@@ -126,7 +136,8 @@ def test_bad_grid_exits_2(capsys):
         "animate-nu0-with-nu1-nu2", "rows=empty", "force-xi-alone",
         "husimi-na", "symmetry-bump-without-t-tof", "force-theta-without-pass",
         "symmetry-na-without-flight", "husimi-theta-with-nu0",
-        "animate-xi-phase-with-nu0", "tol=1e-300",
+        "animate-xi-phase-with-nu0", "tol=1e-300", "t-tof-ref=1e300",
+        "dt=1e-300", "snapshots=1e30", "dt=5e-324",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):

@@ -20,18 +20,18 @@ from cnlight import dynamics
 from cnlight.analytic_core import evolve_ground_analytic
 from cnlight.dynamics import (
     _DP_A,
-    _DP_A_TERMS,
     _DP_B5,
     _DP_E,
-    _DP_E_TERMS,
+    _DP_P,
+    _DP_ROWS,
     CONSTANT_SCHEDULE,
+    DEFAULT_TOL,
     SEARCH_TOL,
     CouplingSchedule,
     SectorPropagator,
     SystemState,
     Trajectory,
-    _combine,
-    _interaction_rhs,
+    _frame_rhs,
     _pulse_area,
     _quadrature_area,
     bump,
@@ -300,26 +300,36 @@ def test_symmetric_sector_closed_under_interaction():
 
 
 # ---------------------------------------------------------------------------
-# interaction-picture derivative
+# rotating-frame derivative
+
+
+DETUNED_XI = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0),
+                          delta12=0.3, delta23=-0.2)
+
+
+def frame_detunings(config, basis):
+    """E - E0 of every basis state; the frame rotates at E0, the energy of
+    the sector's first basis state."""
+    e = np.array([diagonal_energy(s, config) for s in basis.states])
+    return e - e[0]
 
 
 def rhs_matrix(config, basis, schedule, t):
     """W(t) with dphi/dt = W(t) phi: the right-hand side applied to 1."""
-    e = np.array([diagonal_energy(s, config) for s in basis.states])
-    rhs = _interaction_rhs(e[:, None], interaction_matrix(config, basis),
-                           schedule.envelope)
+    rhs = _frame_rhs(frame_detunings(config, basis),
+                     interaction_matrix(config, basis), schedule.envelope)
     return rhs(t, np.eye(len(basis)))
 
 
-def test_rhs_is_antihermitian_and_hollow():
-    detuned = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0),
-                           delta12=0.3, delta23=-0.2)
-    for cfg in (REF, detuned):
+def test_rhs_is_antihermitian_with_diagonal_minus_i_delta():
+    for cfg in (REF, DETUNED_XI):
         basis = build_sector_basis(cfg, 1, 3)
+        delta = frame_detunings(cfg, basis)
+        assert np.any(delta != 0.0) == (cfg is DETUNED_XI)
         for t in (0.0, 0.37, 2.0):
             w = rhs_matrix(cfg, basis, CONSTANT_SCHEDULE, t)
             assert np.max(np.abs(w + w.conj().T)) < 1e-14
-            assert np.max(np.abs(np.diag(w))) == 0.0
+            assert np.array_equal(np.diag(w), -1j * delta)
 
 
 def test_rhs_at_time_zero_is_minus_i_h():
@@ -334,28 +344,30 @@ def test_rhs_at_time_zero_is_minus_i_h():
 def test_rhs_matches_the_inline_expression_bit_for_bit(schedule):
     cfg = AtomicConfig(kind=Kind.V, mu12=1.1, mu13=0.8, delta12=0.3, delta13=-0.2)
     basis = build_sector_basis(cfg, 2, 4)
-    e = np.array([diagonal_energy(s, cfg) for s in basis.states])
+    delta = frame_detunings(cfg, basis)
     h = interaction_matrix(cfg, basis)
     rng = np.random.default_rng(7)
     n = len(basis)
     vector = rng.normal(size=n) + 1j * rng.normal(size=n)
     matrix = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    for energies, phi in ((e, vector), (e[:, None], matrix)):
-        rhs = _interaction_rhs(energies, h, schedule.envelope)
+    rhs = _frame_rhs(delta, h, schedule.envelope)
+    for phi in (vector, matrix):
         for t in (0.0, 0.37, np.float64(0.9), 2.5, 5.7):
             f = schedule.envelope(t)
-            ph = np.exp(-1j * energies * t)
-            want = (-1j * f) * (ph.conj() * (h @ (ph * phi)))
+            want = (f * (-1j * h) + np.diag(-1j * delta)).dot(phi)
             assert rhs(t, phi).tobytes() == want.tobytes()
 
 
 def test_rhs_scales_with_envelope():
-    basis = build_sector_basis(REF, 1, 3)
+    # the coupling part scales with the envelope; the detunings do not
     sched = CouplingSchedule(mode="bump", t_tof=6.0)
     t = 0.25  # on the entry ramp
-    w_bump = rhs_matrix(REF, basis, sched, t)
-    w_flat = rhs_matrix(REF, basis, CONSTANT_SCHEDULE, t)
-    assert np.allclose(w_bump, bump(6.0, t) * w_flat, atol=1e-14)
+    for cfg in (REF, DETUNED_XI):
+        basis = build_sector_basis(cfg, 1, 3)
+        d = np.diag(-1j * frame_detunings(cfg, basis))
+        w_bump = rhs_matrix(cfg, basis, sched, t)
+        w_flat = rhs_matrix(cfg, basis, CONSTANT_SCHEDULE, t)
+        assert np.allclose(w_bump - d, bump(6.0, t) * (w_flat - d), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +413,48 @@ class TestIntegrateOde:
         with pytest.raises(StepSizeUnderflowError):
             integrate_ode(blow_up, np.ones(1, complex), 0.0, 1.0, 1e-10, [1.0])
 
-    def test_stage_combination_matches_sum(self):
-        # the left-to-right accumulation must be bit for bit what the plain
-        # sum over all seven weights gives
-        rng = np.random.default_rng(5)
-        ks = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(7)]
-        for i in range(1, 7):
-            want = sum(_DP_A[i][j] * ks[j] for j in range(i))
-            assert np.array_equal(_combine(_DP_A_TERMS[i], ks), want)
-        want = sum(_DP_E[i] * ks[i] for i in range(7))
-        assert np.array_equal(_combine(_DP_E_TERMS, ks), want)
+    def test_stage_rows_match_the_tableau(self):
+        # row i forms stage i's input from the first i stages only; the
+        # last row forms the error estimate from all seven
+        assert _DP_ROWS.shape == (8, 7)
+        for i in range(7):
+            assert np.array_equal(_DP_ROWS[i, :i], _DP_A[i])
+            assert not _DP_ROWS[i, i:].any()
+        assert np.array_equal(_DP_ROWS[7], _DP_E)
+
+    def test_continuous_extension_ends_at_the_fifth_order_solution(self):
+        # b(1) are the 5th-order weights, and sum_i b_i(s) = s: a constant
+        # derivative is followed exactly at every s
+        np.testing.assert_allclose(_DP_P.sum(axis=1), _DP_B5, rtol=0, atol=1e-15)
+        for s in (0.2, 0.5, 0.9):
+            b = _DP_P @ s ** np.arange(1, 5)
+            assert b.sum() == pytest.approx(s, abs=1e-15)
+
+    def test_dense_output_matches_matrix_exponential_at_interior_times(self):
+        rng = np.random.default_rng(43)
+        h = rng.normal(size=(5, 5))
+        a_mat = -1j * (h + h.T)
+        y0 = rng.normal(size=5) + 1j * rng.normal(size=5)
+        y0 /= np.linalg.norm(y0)
+        times = sorted(rng.uniform(0.0, 4.0, size=50))
+        samples, _ = integrate_ode(
+            linear_rhs(a_mat), y0, 0.0, 4.0, DEFAULT_TOL, times
+        )
+        for t, (ts, y) in zip(times, samples):
+            assert ts == t
+            assert np.max(np.abs(y - expm(a_mat * t) @ y0)) < 1e-9
+
+    def test_matrix_state_matches_matrix_exponential(self):
+        # an (n, k) state, as the ramp propagator integrates, read off inside
+        # a step and at the end
+        a_mat = -1j * np.array([[1.0, 0.5], [0.5, -2.0]])
+        samples, _ = integrate_ode(
+            linear_rhs(a_mat), np.eye(2, dtype=complex), 0.0, 2.0, 1e-12,
+            [0.7, 2.0],
+        )
+        for t, u in samples:
+            assert u.shape == (2, 2)
+            assert np.max(np.abs(u - expm(a_mat * t))) < 1e-9
 
     def test_last_stage_input_is_the_fifth_order_solution(self):
         # first-same-as-last: integrate_ode takes the 7th stage input as y5
@@ -571,9 +615,10 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "kwargs",
         [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": 1e-300},
-         {"tol": 1e-16}, {"n_snapshots": 0}, {"n_snapshots": -1}],
+         {"tol": 1e-16}, {"n_snapshots": 0}, {"n_snapshots": -1},
+         {"n_snapshots": 10**30}],
         ids=["tol=0", "tol<0", "tol=nan", "tol=1e-300", "tol<eps",
-             "snapshots=0", "snapshots<0"],
+             "snapshots=0", "snapshots<0", "snapshots=1e30"],
     )
     def test_bad_tolerance_or_snapshot_count_is_refused(self, kwargs):
         state = ground_product_state(REF, 2)
@@ -626,6 +671,58 @@ class TestIntegrate:
             for mm, psis in want.items():
                 np.testing.assert_allclose(
                     snap.sectors[mm][1], psis[i], rtol=0, atol=1e-9
+                )
+
+    def test_snapshot_count_leaves_the_steps_alone(self):
+        # snapshots come from the continuous extension, so 200 of them cost
+        # no step more than one (clipping steps at them cost 564 against 428)
+        state = make_superposition(1, 3, math.pi / 4, 0.3, 1, REF)
+        sched = CouplingSchedule(mode="bump", t_tof=5.749)
+        one = integrate(state, REF, sched, 5.749, n_snapshots=1)
+        many = integrate(state, REF, sched, 5.749, n_snapshots=200)
+        assert many.stats.steps == one.stats.steps
+        assert many.stats.rejected == one.stats.rejected
+        # the last snapshot is the last step's own solution
+        for mm, (_, amps) in one.snapshots[-1].sectors.items():
+            assert many.snapshots[-1].sectors[mm][1].tobytes() == amps.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 3),
+        m=st.integers(0, 3),
+        deltas=st.one_of(
+            st.just((0.0, 0.0)),
+            st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        ),
+        mode=st.sampled_from(["constant", "bump"]),
+        t_end=st.floats(0.5, 8.0),
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind=Kind.XI, na=1, m=1, deltas=(0.0, 0.0), mode="bump",
+             t_end=5.749, fracs=[0.3, 0.77], seed=1)
+    @example(kind=Kind.LAMBDA, na=3, m=2, deltas=(1.5, -1.5), mode="constant",
+             t_end=8.0, fracs=[0.01, 0.5, 0.999], seed=2)
+    def test_snapshots_inside_steps_match_a_tight_run(
+        self, kind, na, m, deltas, mode, t_end, fracs, seed
+    ):
+        # the continuous extension at DEFAULT_TOL against tol = 1e-13
+        cfg, state = random_detuned_state(kind, na, m, deltas, seed)
+        if mode == "bump":
+            sched = CouplingSchedule(mode="bump", t_tof=t_end)
+        else:
+            sched = CONSTANT_SCHEDULE
+        times = [t_end * f for f in fracs]
+        got = integrate(state, cfg, sched, t_end, snapshot_times=times,
+                        n_snapshots=7)
+        want = integrate(state, cfg, sched, t_end, tol=1e-13,
+                         snapshot_times=times, n_snapshots=7)
+        assert np.array_equal(got.times, want.times)
+        for g, w in zip(got.snapshots, want.snapshots):
+            for mm, (_, amps) in w.sectors.items():
+                np.testing.assert_allclose(
+                    g.sectors[mm][1], amps, rtol=0, atol=1e-9
                 )
 
     def test_all_sectors_take_one_integration(self, monkeypatch):
@@ -683,13 +780,15 @@ def random_detuned_state(kind, na, m, deltas, seed):
 
 
 def integrate_sectors_alone(state, cfg, schedule, t_end, tol, times):
-    """{m: physical amplitudes at ``times``}, one integrate_ode run per sector."""
+    """{m: physical amplitudes at ``times``}, one integrate_ode run per sector,
+    each in the frame rotating at the energy of the sector's first state."""
     out = {}
     for m, (basis, amps) in state.sectors.items():
         e = np.array([diagonal_energy(s, cfg) for s in basis.states])
-        rhs = _interaction_rhs(e, interaction_matrix(cfg, basis), schedule.envelope)
+        e0 = np.full_like(e, e[0])
+        rhs = _frame_rhs(e - e0, interaction_matrix(cfg, basis), schedule.envelope)
         samples, _ = integrate_ode(rhs, amps, 0.0, t_end, tol, times)
-        out[m] = [np.exp(-1j * e * t) * phi for t, phi in samples]
+        out[m] = [np.exp(-1j * e0 * t) * phi for t, phi in samples]
     return out
 
 

@@ -29,6 +29,7 @@ from cnlight.observables import (
     linear_entropies,
     linear_entropy,
     photon_probabilities,
+    photon_weights,
     pure_field,
     reduce_field,
     reduce_fields,
@@ -163,6 +164,47 @@ class TestReduceFieldProperties:
         assert abs(np.trace(rho).imag) < 1e-14
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+class TestPhotonWeights:
+    """P(nu) off the amplitudes against the diagonal of the reduced field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 3),
+        ms=st.sets(st.integers(0, 6), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_match_the_reduced_field(self, kind, na, ms, seed):
+        state = random_multi_sector_state(kind, na, sorted(ms), seed)
+        got = photon_weights(state)
+        want = photon_probabilities(reduce_field(state))
+        assert got.shape == want.shape == (max(ms) + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_evolved_states_match_the_reduced_field(self):
+        cfg = AtomicConfig(kind=Kind.V, mu12=0.9, mu13=1.2, delta12=0.1,
+                           delta13=-0.05)
+        state = make_superposition(1, 4, 0.6, 0.3, 3, cfg)
+        traj = integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=3.0),
+                         3.0, n_snapshots=6)
+        for snap in traj.snapshots:
+            want = photon_probabilities(reduce_field(snap))
+            assert np.max(np.abs(photon_weights(snap) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0])
+    def test_refuses_what_the_reduced_field_refuses(self, bad):
+        basis, amps = ground_product_state(REF, 3).sectors[3]
+        amps = amps.copy()
+        amps[basis.index(1, 1)] = bad
+        state = SystemState(sectors={3: (basis, amps)})
+        with pytest.raises(ValidationError):
+            reduce_field(state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="photon weights"):
+                photon_weights(state)
 
 
 def reduce_field_by_dicts(state):
