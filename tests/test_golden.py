@@ -1,8 +1,8 @@
 """CLI outputs against the stored outputs of an earlier build.
 
-The files under ``tests/data`` hold the stdout of three commands: the
-README's two-pass ``protocol`` run, ``table1`` and the README's ``evolve``
-run.  Every number of a fresh run must lie within GOLDEN_ATOL of the stored
+The files under ``tests/data`` hold the stdout of four commands: the
+README's two-pass ``protocol`` run, ``table1``, the README's ``evolve``
+run and ``husimi`` of the (2, 7) cat on a 21² grid.  Every number of a fresh run must lie within GOLDEN_ATOL of the stored
 one; everything else (layout, keys, column names, integers such as photon
 numbers, orders and exact zeros) must match character for character.  An
 integrator change that moves outputs by roundoff-sized amounts passes; one
@@ -32,6 +32,9 @@ CASES = {
     "table1.csv": ["table1"],
     "evolve_nu0_3.csv": [
         "evolve", *XI_README, "--nu0", "3", "--t-end", "6", "--snapshots", "100",
+    ],
+    "husimi_2_7.csv": [
+        "husimi", "--nu1", "2", "--nu2", "7", "--theta", "0.785398", "--grid=-3:3:21",
     ],
 }
 

@@ -416,6 +416,66 @@ class TestHusimi:
             husimi_values(rho, [1.0, 2.0], [0.0])
         with pytest.raises(ValidationError):
             husimi_values(rho, -0.5, 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            husimi_values(rho, [math.nan, math.inf, 1.0], [0.0, 0.0, math.inf])
+        with pytest.raises(ValidationError, match="finite"):
+            husimi(rho, ((-math.inf, 1, 3), (0, 1, 2)))
+
+
+def husimi_by_einsum(rho, rad, ang):
+    """Q from a (point, nu) overlap table, log-domain magnitudes times
+    exp(i nu phi), contracted with rho in one three-operand einsum: the
+    formula the stripe kernel replaced, kept as the oracle."""
+    nu = np.arange(rho.shape[0])
+    lg = np.array([math.lgamma(n + 1) for n in nu])
+    log_r = np.log(rad, out=np.zeros_like(rad), where=rad > 0.0)
+    log_mag = nu[None, :] * log_r[:, None] - 0.5 * lg[None, :] - 0.5 * rad[:, None] ** 2
+    c = np.exp(log_mag) * np.exp(1j * nu[None, :] * ang[:, None])
+    c[rad == 0.0, :] = 0.0
+    c[rad == 0.0, 0] = 1.0
+    return np.einsum("gi,ij,gj->g", c.conj(), rho, c).real / math.pi
+
+
+polar_points = st.lists(
+    st.tuples(st.floats(0.0, 40.0), st.floats(-10.0, 10.0)), min_size=1, max_size=40
+)
+
+
+class TestHusimiKernel:
+    """The stripe contraction against the dense einsum over the whole table."""
+
+    @staticmethod
+    def check(rho, points):
+        # the origin is always among the points
+        rad = np.array([0.0] + [r for r, _ in points])
+        ang = np.array([0.3] + [a for _, a in points])
+        got = husimi_values(rho, rad, ang)
+        want = husimi_by_einsum(rho.rho, rad, ang)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert got.min() >= -1e-15
+        assert got[0] == rho.rho[0, 0].real / math.pi
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 15), seed=st.integers(0, 2**16), points=polar_points)
+    def test_dense_rho_matches_the_einsum(self, dim, seed, points):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = a @ a.conj().T
+        rho = FieldDensityMatrix(rho=rho / np.trace(rho).real)
+        assert all(np.diagonal(rho.rho, k).all() for k in range(dim))
+        self.check(rho, points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 3),
+        ms=st.sets(st.integers(0, 6), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+        points=polar_points,
+    )
+    def test_striped_rho_matches_the_einsum(self, kind, na, ms, seed, points):
+        state = random_multi_sector_state(kind, na, sorted(ms), seed)
+        self.check(reduce_field(state), points)
 
 
 class TestHusimiTwoFock:
@@ -511,6 +571,42 @@ class TestDetectCyclicSymmetry:
         assert report.order == 0  # below the coherence tolerance
         loose = detect_cyclic_symmetry(FieldDensityMatrix(rho=rho_mat), tol=1e-14)
         assert loose.order == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 10),
+        seed=st.integers(0, 2**16),
+        tol_pick=st.one_of(
+            st.just(0.0), st.floats(1e-16, 1.0), st.integers(0, 99)
+        ),
+    )
+    def test_support_matches_the_entry_loop(self, dim, seed, tol_pick):
+        # zeros and entries spread over 14 decades; an integer pick makes
+        # tol one of the entries' moduli, the edge of "> tol"
+        rng = np.random.default_rng(seed)
+        upper = (
+            (rng.random((dim, dim)) < 0.4)
+            * 10.0 ** rng.uniform(-14, 0, (dim, dim))
+            * np.exp(2j * math.pi * rng.random((dim, dim)))
+        )
+        upper = np.triu(upper, 1)
+        r = upper + upper.conj().T
+        r[np.diag_indices(dim)] = 1.0 / dim
+        moduli = np.abs(r[~np.eye(dim, dtype=bool)])
+        if isinstance(tol_pick, int):
+            tol = float(moduli[tol_pick % len(moduli)]) if len(moduli) else 0.0
+        else:
+            tol = tol_pick
+        report = detect_cyclic_symmetry(FieldDensityMatrix(rho=r), tol=tol)
+        want = sorted({
+            abs(i - j)
+            for i in range(dim)
+            for j in range(dim)
+            if i != j and abs(r[i, j]) > tol
+        })
+        assert report.support_differences == tuple(want)
+        assert report.order == math.gcd(*want)
+        assert report.tol == tol
 
     def test_negative_tolerance_is_refused(self):
         # a negative tolerance would count every zero coherence as support
