@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, g17
 from .analytic_core import (
     dressed_linear_entropy,
     dressed_states,
@@ -58,16 +58,19 @@ from .protocol import (
 
 GridSpec = Tuple[Tuple[float, float, int], Tuple[float, float, int]]
 
+# a grid's points, Q values and CSV rows are all held in memory at once
+MAX_GRID_POINTS = 10**6
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
@@ -83,7 +86,8 @@ class RunManifest:
     duration_seconds: float
 
     def write(self, path: Path) -> None:
-        _write_atomic(path, json.dumps(dataclasses.asdict(self), indent=2) + "\n")
+        text = json.dumps(dataclasses.asdict(self), indent=2) + "\n"
+        _write_atomic(path, text.encode("utf-8"))
 
 
 def _manifest_params(args: argparse.Namespace) -> Dict[str, object]:
@@ -108,7 +112,7 @@ def _emit(
         sys.stdout.write(text)
         return
     out = Path(args.out)
-    _write_atomic(out, text)
+    _write_atomic(out, text.encode("utf-8"))
     grid_dict = None
     if grid is not None:
         (qmin, qmax, n_q), (pmin, pmax, n_p) = grid
@@ -239,31 +243,55 @@ def _parse_grid(text: str) -> GridSpec:
 
     parts = text.split(",")
     if len(parts) == 1:
-        ax = axis(parts[0])
-        return ax, ax
-    if len(parts) == 2:
-        return axis(parts[0]), axis(parts[1])
-    raise ValidationError(f"bad grid spec {text!r}")
+        q_axis = p_axis = axis(parts[0])
+    elif len(parts) == 2:
+        q_axis, p_axis = axis(parts[0]), axis(parts[1])
+    else:
+        raise ValidationError(f"bad grid spec {text!r}")
+    if q_axis[2] * p_axis[2] > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"bad grid spec {text!r}: more than {MAX_GRID_POINTS} points"
+        )
+    return q_axis, p_axis
 
 
-def _grid_template(grid: GridSpec) -> str:
-    """CSV text of ``grid`` with a ``%.17g`` slot for each value, p-major.
+def _grid_template(grid: GridSpec) -> np.ndarray:
+    """CSV rows of ``grid`` with the value fields still empty, p-major.
 
-    The q and p columns are the same in every frame on one grid, so they
-    are formatted once here; ``"%.17g" % x`` gives the bytes of ``_fmt(x)``.
+    Row 0 holds the header, row j the ``q,p,`` of point j - 1, then
+    ``g17.WIDTH`` bytes for its value; NUL bytes pad every row to one
+    width.  The q and p columns are the same in every frame on one grid,
+    so they are formatted once here, by ``_fmt``.
     """
     (qmin, qmax, n_q), (pmin, pmax, n_p) = grid
     qs = [_fmt(q) for q in np.linspace(qmin, qmax, n_q)]
-    return "q,p,value\n" + "".join(
-        f"{q},{p},%.17g\n"
+    prefixes = [
+        f"{q},{p},"
         for p in map(_fmt, np.linspace(pmin, pmax, n_p))
         for q in qs
+    ]
+    width = -(-max(map(len, prefixes)) // 8) * 8  # keeps the values word-aligned
+    rows = np.zeros((len(prefixes) + 1, width + g17.WIDTH), np.uint8)
+    rows[0, :10] = np.frombuffer(b"q,p,value\n", np.uint8)
+    rows[1:, :width] = (
+        np.array(prefixes, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     )
+    return rows
 
 
-def _grid_csv(values: np.ndarray, template: str) -> str:
-    """Fill a ``_grid_template`` with values[i_p, i_q]."""
-    return template % tuple(values.ravel().tolist())
+def _grid_bytes(values: np.ndarray, template: np.ndarray) -> bytearray:
+    """The CSV of a ``_grid_template`` filled with values[i_p, i_q]: the
+    bytes of one ``%.17g`` per value, written for the whole frame at once
+    by ``g17.fill``."""
+    buf = bytearray(template)
+    words = np.frombuffer(buf, "<u8").reshape(len(template), -1)
+    g17.fill(np.ravel(values), words[1:, -g17.WIDTH // 8:])
+    return buf.translate(None, b"\0")
+
+
+def _grid_csv(values: np.ndarray, template: np.ndarray) -> str:
+    """``_grid_bytes`` as text."""
+    return _grid_bytes(values, template).decode("ascii")
 
 
 # ------------------------------------------------------------------
@@ -526,7 +554,7 @@ def export_frames(
         rho = reduce_field(trajectory.snapshots[i])
         hg = husimi(rho, grid)
         path = out_dir / f"husimi_{k:05d}.csv"
-        _write_atomic(path, _grid_csv(hg.values, template))
+        _write_atomic(path, _grid_bytes(hg.values, template))
         paths.append(path)
         frame_times.append(float(trajectory.times[i]))
 

@@ -2,12 +2,18 @@
 
 import json
 import math
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cnlight import cli
+from cnlight import cli, g17
 from cnlight.cli import _grid_csv, _grid_template, _parse_grid, run_command
+from cnlight.errors import ValidationError
 from cnlight.observables import FieldDensityMatrix, husimi, reduce_field
 
 SQRT2 = repr(math.sqrt(2.0))
@@ -122,6 +128,9 @@ def test_bad_grid_exits_2(capsys):
          "--snapshots", "1000000000000000000000000000000"],
         ["animate", *XI_REF, "--nu0", "2", "--t-end", "4", "--dt", "5e-324",
          "--grid=-1:1:3"],
+        ["husimi", "--nu0", "1", "--grid=-1:1:100000"],
+        ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4",
+         "--grid=-1:1:1000,-1:1:1001"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
@@ -137,12 +146,20 @@ def test_bad_grid_exits_2(capsys):
         "husimi-na", "symmetry-bump-without-t-tof", "force-theta-without-pass",
         "symmetry-na-without-flight", "husimi-theta-with-nu0",
         "animate-xi-phase-with-nu0", "tol=1e-300", "t-tof-ref=1e300",
-        "dt=1e-300", "snapshots=1e30", "dt=5e-324",
+        "dt=1e-300", "snapshots=1e30", "dt=5e-324", "grid=1e5^2",
+        "grid=1000x1001",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert run_command([*argv, "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_of_max_points_parses():
+    assert _parse_grid("-1:1:1000")[1][2] == 1000
+    assert cli.MAX_GRID_POINTS == 1000 * 1000
+    with pytest.raises(ValidationError):
+        _parse_grid("-1:1:1001,-1:1:1000")
 
 
 def test_failed_exit_search_exits_3(capsys):
@@ -281,12 +298,12 @@ def test_husimi_writes_file_and_manifest(tmp_path, capsys):
     out = tmp_path / "vac.csv"
     argv = ["husimi", "--nu0", "0", "--grid=-3:3:61", "--out", str(out)]
     assert run_command(argv) == 0
-    header = out.read_text().splitlines()[0]
+    header = out.read_text(encoding="utf-8").splitlines()[0]
     assert header == "q,p,value"
-    values = np.loadtxt(out, delimiter=",", skiprows=1)
+    values = np.loadtxt(out, delimiter=",", skiprows=1, encoding="utf-8")
     assert np.max(values[:, 2]) == pytest.approx(1.0 / math.pi, abs=1e-12)
 
-    manifest = json.loads((tmp_path / "vac.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "vac.manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "husimi"
     assert manifest["outputs"] == ["vac.csv"]
     assert manifest["grid"] == {"q": [-3.0, 3.0, 61], "p": [-3.0, 3.0, 61]}
@@ -294,7 +311,9 @@ def test_husimi_writes_file_and_manifest(tmp_path, capsys):
     assert manifest["parameters"]["nu0"] == 0
     vacuum = FieldDensityMatrix(rho=np.ones((1, 1)))
     grid = _parse_grid("-3:3:61")
-    assert out.read_text() == reference_csv(husimi(vacuum, grid).values, grid)
+    assert out.read_text(encoding="utf-8") == reference_csv(
+        husimi(vacuum, grid).values, grid
+    )
 
     # replays are byte-identical
     first = out.read_bytes()
@@ -308,7 +327,9 @@ def test_protocol_without_couplings_says_it_uses_the_reference(tmp_path, capsys)
     assert run_command(argv) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "reference configuration" in err[0]
-    manifest = json.loads((tmp_path / "proto.manifest.json").read_text())
+    manifest = json.loads(
+        (tmp_path / "proto.manifest.json").read_text(encoding="utf-8")
+    )
     assert manifest["parameters"]["mu12"] == 0.0
     used = manifest["parameters"]["config_used"]
     assert used["kind"] == "xi"
@@ -322,7 +343,9 @@ def test_protocol_records_the_given_configuration(tmp_path, capsys):
             "--delta12", "0.1", "--nu0", "3", "--passes", "0", "--out", str(out)]
     assert run_command(argv) == 0
     assert capsys.readouterr().err == ""
-    manifest = json.loads((tmp_path / "proto.manifest.json").read_text())
+    manifest = json.loads(
+        (tmp_path / "proto.manifest.json").read_text(encoding="utf-8")
+    )
     used = manifest["parameters"]["config_used"]
     assert (used["mu12"], used["mu23"], used["delta12"]) == (0.5, 0.7, 0.1)
 
@@ -334,7 +357,9 @@ def test_protocol_runs_a_lambda_atom_as_given(tmp_path, capsys):
             "--passes", "0", "--out", str(out)]
     assert run_command(argv) == 0
     assert capsys.readouterr().err == ""
-    manifest = json.loads((tmp_path / "proto.manifest.json").read_text())
+    manifest = json.loads(
+        (tmp_path / "proto.manifest.json").read_text(encoding="utf-8")
+    )
     used = manifest["parameters"]["config_used"]
     assert (used["kind"], used["mu12"], used["mu13"], used["mu23"]) == (
         "lambda", 0.0, 1.0, 0.0)
@@ -379,7 +404,7 @@ def test_animate_writes_frames(tmp_path, monkeypatch, capsys):
     assert code == 0
     frames = sorted(p.name for p in out.glob("husimi_*.csv"))
     assert frames == [f"husimi_{k:05d}.csv" for k in range(5)]
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["outputs"] == frames
     assert len(manifest["parameters"]["frame_times"]) == 5
     assert manifest["parameters"]["frame_times"][-1] == pytest.approx(0.4)
@@ -388,7 +413,9 @@ def test_animate_writes_frames(tmp_path, monkeypatch, capsys):
     grid = _parse_grid("-2:2:21")
     for name, snapshot in zip(frames, traj.snapshots, strict=True):
         expected = husimi(reduce_field(snapshot), grid).values
-        assert (out / name).read_text() == reference_csv(expected, grid), name
+        assert (out / name).read_text(encoding="utf-8") == reference_csv(
+            expected, grid
+        ), name
 
 
 @pytest.mark.parametrize(
@@ -415,3 +442,119 @@ def test_animate_stride_larger_than_trajectory(tmp_path, capsys):
     )
     assert code == 0
     assert [p.name for p in sorted(out.glob("husimi_*.csv"))] == ["husimi_00000.csv"]
+
+
+# ---------------------------------------------------------------------------
+# g17: the frame formatter against "%.17g" % x
+
+
+def g17_lines(values):
+    """g17.fill's rows with the NUL bytes dropped, one line per value."""
+    values = np.asarray(values, dtype=float)
+    rows = np.zeros((values.size, g17.WIDTH // 8), "<u8")
+    g17.fill(values, rows)
+    text = rows.tobytes().replace(b"\0", b"").decode("ascii")
+    assert text.endswith("\n") or values.size == 0
+    return text.splitlines()
+
+
+def percent_g_lines(values):
+    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
+
+
+def with_neighbours(xs, count=12):
+    """Each x, its ``count`` nearest doubles on each side, and all negated."""
+    out = []
+    for x in xs:
+        below = above = x
+        out.append(x)
+        for _ in range(count):
+            with np.errstate(over="ignore"):  # past the largest double: inf
+                below = np.nextafter(below, -np.inf)
+                above = np.nextafter(above, np.inf)
+            out += [below, above]
+    out = np.array(out)
+    return np.concatenate([out, -out])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@example([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310])
+def test_g17_matches_percent_g_on_any_floats(xs):
+    assert g17_lines(xs) == percent_g_lines(xs)
+
+
+def test_g17_matches_percent_g_around_powers_of_ten():
+    xs = with_neighbours([float(f"1e{e}") for e in range(-252, 19)])
+    assert g17_lines(xs) == percent_g_lines(xs)
+
+
+def test_g17_rounds_exact_ties_half_even():
+    # m / 2^j with m odd and m 5^j of 18 digits has exactly 18 significant
+    # digits, the last a 5: its 17-digit rounding is an exact tie
+    ties = []
+    for j in range(1, 26):
+        lo = -(-(10**17) // 5**j) | 1
+        hi = min((10**18 - 1) // 5**j, 2**53 - 1)
+        step = max(2, (hi - lo) // 16 * 2)
+        ties += [m / 2**j for m in range(lo, hi + 1, step)]
+    assert len(ties) > 200
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    xs = ties + [-x for x in ties]
+    assert g17_lines(xs) == percent_g_lines(xs)
+
+
+# Doubles x whose y = x 10^(16 - X) lies within 2e-15 of a half-integer,
+# so within g17's error bound of a tie: found with x = M 2^E by a 2-d
+# lattice reduction on M 5^k mod 2^s near 2^(s - 1), y = M 5^k / 2^s.
+NEAR_TIES = [float.fromhex(h) for h in (
+    "0x1.57a340eb5d4f1p-760", "0x1.e59412b6ea12fp-757", "0x1.93e838c059d66p-682",
+    "0x1.3fdcb89a6efefp-574", "0x1.33606895be59bp-391", "0x1.70f4d8d6e3f4cp-304",
+    "0x1.646a14d9d2fe1p-209", "0x1.161e325726299p-87", "0x1.8a90a09f98650p-71",
+    "0x1.6243a5d6b8d79p-54", "0x1.3835f729c372bp-37", "0x1.b6d3d524dee6bp-24",
+)]
+
+
+def test_g17_matches_percent_g_next_to_ties():
+    for x in NEAR_TIES:
+        fraction = Fraction(x) * 10 ** (16 - math.floor(math.log10(x))) % 1
+        assert 0 < abs(fraction - Fraction(1, 2)) < 2e-15, x
+    xs = NEAR_TIES + [-x for x in NEAR_TIES]
+    assert g17_lines(xs) == percent_g_lines(xs)
+
+
+def test_g17_matches_percent_g_where_it_rounds_up_to_a_power_of_ten():
+    ups = []
+    for e in range(-250, 17):
+        x = float(f"1e{e}")
+        while Fraction(x) >= Fraction(10) ** e:
+            x = float(np.nextafter(x, 0.0))
+        # x is the double below 10^e: does its 17-digit rounding reach 10^e?
+        if Fraction(10) ** e - Fraction(x) < Fraction(10) ** (e - 17) / 2:
+            ups.append(x)
+    assert len(ups) > 5
+    assert all(line.startswith("1e") for line in percent_g_lines(ups))
+    xs = with_neighbours(ups, count=2)
+    assert g17_lines(xs) == percent_g_lines(xs)
+
+
+def test_g17_matches_percent_g_at_and_past_the_ends_of_its_range():
+    info = sys.float_info
+    ends = [info.min, info.max, 5e-324, info.min * (1 - 2**-52), 1e-250,
+            1e-251, 9.999999999999999e16, 1e17, 1.0000000000000002e17, 1e300]
+    xs = with_neighbours(ends)
+    assert g17_lines(xs) == percent_g_lines(xs)
+
+
+def test_g17_fast_path_takes_nearly_every_value_with_the_digits_of_percent_e():
+    rng = np.random.default_rng(17)
+    v = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-250, 17, 20_000)
+    exponent, digits, fast = g17._digits(v)
+    # what falls back here are exact ties: above 1e14 a double has at most
+    # six bits after the binary point, so many y = x 10^(16 - X) end in .5
+    assert fast.mean() > 0.99
+    for x, k, n in zip(*(u[fast].tolist() for u in (v, exponent, digits))):
+        mantissa, power = ("%.16e" % abs(x)).split("e")
+        assert (n, k + g17._X_MIN) == (int(mantissa.replace(".", "")), int(power))

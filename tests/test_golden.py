@@ -52,7 +52,7 @@ def is_integer(token):
 def test_output_matches_the_stored_output(name, capsys):
     assert run_command(CASES[name]) == 0
     got_layout, got = split_numbers(capsys.readouterr().out)
-    want_layout, want = split_numbers((DATA / name).read_text())
+    want_layout, want = split_numbers((DATA / name).read_text(encoding="utf-8"))
     assert got_layout == want_layout
     assert len(got) == len(want) > 0
     worst = 0.0

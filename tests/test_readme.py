@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def library_example() -> str:
     """The one python block under the README's "Library example" heading."""
-    section = README.read_text().split("## Library example", 1)[1]
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
     section = section.split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
     assert len(blocks) == 1, "the library example is one python block"
