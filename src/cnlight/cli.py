@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .analytic_core import (
     step_spectrum,
 )
 from .dynamics import (
+    DEFAULT_TOL,
     MAX_SNAPSHOTS,
     CouplingSchedule,
     Trajectory,
@@ -60,6 +61,10 @@ GridSpec = Tuple[Tuple[float, float, int], Tuple[float, float, int]]
 
 # a grid's points, Q values and CSV rows are all held in memory at once
 MAX_GRID_POINTS = 10**6
+# the field's density matrix is dense, (nu_max + 1)^2 entries, and a sector
+# basis of na atoms, (na + 1)(na + 2) / 2 states, is enumerated pair by pair
+MAX_PHOTONS = 100
+MAX_ATOMS = 20
 
 
 def _fmt(x: float) -> str:
@@ -76,25 +81,28 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    parameters: Dict[str, object]
-    version: str
-    grid: Optional[Dict[str, object]]
-    outputs: List[str]
-    duration_seconds: float
-
-    def write(self, path: Path) -> None:
-        text = json.dumps(dataclasses.asdict(self), indent=2) + "\n"
-        _write_atomic(path, text.encode("utf-8"))
-
-
-def _manifest_params(args: argparse.Namespace) -> Dict[str, object]:
-    skip = {"func", "out"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip
+def _write_manifest(
+    path: Path,
+    args: argparse.Namespace,
+    grid: Optional[GridSpec],
+    outputs: List[str],
+    started: float,
+    **extra: object,
+) -> None:
+    """Write the JSON that replays a run: its command, its parameters (the
+    parsed flags, then ``extra``), version, grid, outputs and duration."""
+    flags = {
+        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")
     }
+    manifest = {
+        "command": args.command,
+        "parameters": dict(flags, **extra),
+        "version": __version__,
+        "grid": None if grid is None else {"q": list(grid[0]), "p": list(grid[1])},
+        "outputs": outputs,
+        "duration_seconds": time.perf_counter() - started,
+    }
+    _write_atomic(path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
 
 
 def _emit(
@@ -102,7 +110,7 @@ def _emit(
     text: str,
     grid: Optional[GridSpec],
     started: float,
-    extra: Optional[Dict[str, object]] = None,
+    **extra: object,
 ) -> None:
     """Send a single data file to --out (with manifest) or stdout.
 
@@ -113,21 +121,8 @@ def _emit(
         return
     out = Path(args.out)
     _write_atomic(out, text.encode("utf-8"))
-    grid_dict = None
-    if grid is not None:
-        (qmin, qmax, n_q), (pmin, pmax, n_p) = grid
-        grid_dict = {
-            "q": [qmin, qmax, n_q],
-            "p": [pmin, pmax, n_p],
-        }
-    RunManifest(
-        command=args.command,
-        parameters=dict(_manifest_params(args), **(extra or {})),
-        version=__version__,
-        grid=grid_dict,
-        outputs=[out.name],
-        duration_seconds=time.perf_counter() - started,
-    ).write(out.with_name(out.stem + ".manifest.json"))
+    _write_manifest(out.with_name(out.stem + ".manifest.json"), args, grid,
+                    [out.name], started, **extra)
 
 
 # ------------------------------------------------------------------
@@ -172,8 +167,15 @@ _IMPLIED_DEFAULTS = (("na", 1), ("theta", math.pi / 4), ("xi_phase", 0.0))
 
 
 def _resolve_defaults(args: argparse.Namespace) -> None:
-    """Refuse state and flight flags the command would ignore, then fill in
-    the defaults of the ones not given (before any manifest reads them)."""
+    """Refuse state and flight flags the command would ignore or that ask for
+    more photons or atoms than can be held, then fill in the defaults of the
+    ones not given (before any manifest reads them)."""
+    caps = (("nu0", MAX_PHOTONS), ("nu1", MAX_PHOTONS), ("nu2", MAX_PHOTONS),
+            ("na", MAX_ATOMS))
+    for name, cap in caps:
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            raise ValidationError(f"--{name} {value} is above its cap of {cap}")
     angles = (getattr(args, "theta", None), getattr(args, "xi_phase", None))
     if angles != (None, None) and args.nu1 is None and args.nu2 is None:
         raise ValidationError("--theta and --xi-phase need --nu1 and --nu2")
@@ -255,13 +257,14 @@ def _parse_grid(text: str) -> GridSpec:
     return q_axis, p_axis
 
 
-def _grid_template(grid: GridSpec) -> np.ndarray:
+def _grid_template(grid: GridSpec) -> bytearray:
     """CSV rows of ``grid`` with the value fields still empty, p-major.
 
     Row 0 holds the header, row j the ``q,p,`` of point j - 1, then
     ``g17.WIDTH`` bytes for its value; NUL bytes pad every row to one
     width.  The q and p columns are the same in every frame on one grid,
-    so they are formatted once here, by ``_fmt``.
+    so they are formatted once here, by ``_fmt``; each frame refills the
+    value fields of this one buffer (``_grid_bytes``).
     """
     (qmin, qmax, n_q), (pmin, pmax, n_p) = grid
     qs = [_fmt(q) for q in np.linspace(qmin, qmax, n_q)]
@@ -271,27 +274,25 @@ def _grid_template(grid: GridSpec) -> np.ndarray:
         for q in qs
     ]
     width = -(-max(map(len, prefixes)) // 8) * 8  # keeps the values word-aligned
-    rows = np.zeros((len(prefixes) + 1, width + g17.WIDTH), np.uint8)
+    buf = bytearray((len(prefixes) + 1) * (width + g17.WIDTH))
+    rows = np.frombuffer(buf, np.uint8).reshape(len(prefixes) + 1, -1)
     rows[0, :10] = np.frombuffer(b"q,p,value\n", np.uint8)
     rows[1:, :width] = (
         np.array(prefixes, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     )
-    return rows
+    return buf
 
 
-def _grid_bytes(values: np.ndarray, template: np.ndarray) -> bytearray:
-    """The CSV of a ``_grid_template`` filled with values[i_p, i_q]: the
+def _grid_bytes(values: np.ndarray, rows: bytearray) -> bytearray:
+    """The CSV of ``_grid_template`` rows filled with values[i_p, i_q]: the
     bytes of one ``%.17g`` per value, written for the whole frame at once
-    by ``g17.fill``."""
-    buf = bytearray(template)
-    words = np.frombuffer(buf, "<u8").reshape(len(template), -1)
+    by ``g17.fill``.
+
+    The value fields are overwritten in place: ``g17.fill`` writes every
+    byte of each of them, so nothing of an earlier frame is left."""
+    words = np.frombuffer(rows, "<u8").reshape(np.size(values) + 1, -1)
     g17.fill(np.ravel(values), words[1:, -g17.WIDTH // 8:])
-    return buf.translate(None, b"\0")
-
-
-def _grid_csv(values: np.ndarray, template: np.ndarray) -> str:
-    """``_grid_bytes`` as text."""
-    return _grid_bytes(values, template).decode("ascii")
+    return rows.translate(None, b"\0")
 
 
 # ------------------------------------------------------------------
@@ -403,7 +404,8 @@ def _cmd_husimi(args) -> int:
     grid = _parse_grid(args.grid)
     field = _field_from(args)
     hg = husimi(field, grid)
-    _emit(args, _grid_csv(hg.values, _grid_template(grid)), grid, started)
+    text = _grid_bytes(hg.values, _grid_template(grid)).decode("ascii")
+    _emit(args, text, grid, started)
     return 0
 
 
@@ -482,7 +484,7 @@ def _cmd_protocol(args) -> int:
         })
     used = dict(dataclasses.asdict(config), kind=config.kind.value)
     _emit(args, json.dumps(payload, indent=2) + "\n", None, started,
-          extra={"config_used": used})
+          config_used=used)
     return 0
 
 
@@ -507,9 +509,7 @@ def _cmd_table1(args) -> int:
     for idx, ref in enumerate(REFERENCE_CATS, start=1):
         if idx not in wanted:
             continue
-        vec = np.zeros(ref.m2 + 1, dtype=complex)
-        vec[ref.m1] = vec[ref.m2] = 1.0 / math.sqrt(2.0)
-        field = FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
+        field = pure_field({ref.m1: 1.0, ref.m2: 1.0})
         window = (0.85 * ref.t_tof, 1.15 * ref.t_tof)
         found = find_tof_for_cat(field, config, window=window)
         rep = subsequent_passage(field, config, found.t_tof)
@@ -526,51 +526,8 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def export_frames(
-    trajectory: Trajectory,
-    grid: GridSpec,
-    stride: int,
-    out_dir: Path,
-    command: str = "animate",
-    parameters: Optional[Dict[str, object]] = None,
-    started: Optional[float] = None,
-) -> List[Path]:
-    """Write husimi_%05d.csv frames plus manifest.json into out_dir."""
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
-    if len(trajectory.snapshots) == 0:
-        raise ValidationError("empty trajectory")
-    t0 = started if started is not None else time.perf_counter()
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot create {out_dir}: {exc}") from exc
-
-    template = _grid_template(grid)
-    paths: List[Path] = []
-    frame_times: List[float] = []
-    for k, i in enumerate(range(0, len(trajectory.snapshots), stride)):
-        rho = reduce_field(trajectory.snapshots[i])
-        hg = husimi(rho, grid)
-        path = out_dir / f"husimi_{k:05d}.csv"
-        _write_atomic(path, _grid_bytes(hg.values, template))
-        paths.append(path)
-        frame_times.append(float(trajectory.times[i]))
-
-    (qmin, qmax, n_q), (pmin, pmax, n_p) = grid
-    RunManifest(
-        command=command,
-        parameters=dict(parameters or {}, frame_times=frame_times),
-        version=__version__,
-        grid={"q": [qmin, qmax, n_q], "p": [pmin, pmax, n_p]},
-        outputs=[p.name for p in paths],
-        duration_seconds=time.perf_counter() - t0,
-    ).write(out_dir / "manifest.json")
-    return paths
-
-
 def _cmd_animate(args) -> int:
+    """Write husimi_%05d.csv frames plus manifest.json into --out."""
     started = time.perf_counter()
     t_end = _t_end_from(args)
     if not args.dt > 0:
@@ -585,10 +542,17 @@ def _cmd_animate(args) -> int:
     n_frames = max(int(round(t_end / args.dt)), 1)
     traj = _trajectory(args, n_frames * args.dt,
                        tol=args.tol, n_snapshots=n_frames)
-    export_frames(
-        traj, grid, args.stride, Path(args.out),
-        command="animate", parameters=_manifest_params(args), started=started,
-    )
+    out_dir = Path(args.out)
+    rows = _grid_template(grid)
+    names: List[str] = []
+    frame_times: List[float] = []
+    for k, i in enumerate(range(0, len(traj.snapshots), args.stride)):
+        hg = husimi(reduce_field(traj.snapshots[i]), grid)
+        names.append(f"husimi_{k:05d}.csv")
+        _write_atomic(out_dir / names[-1], _grid_bytes(hg.values, rows))
+        frame_times.append(float(traj.times[i]))
+    _write_manifest(out_dir / "manifest.json", args, grid, names, started,
+                    frame_times=frame_times)
     return 0
 
 
@@ -638,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_state_flags(p)
     _add_flight_flags(p, "end time (default: the bump's --t-tof)")
-    p.add_argument("--tol", type=float, default=1e-11, help=TOL_HELP)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=TOL_HELP)
     p.add_argument("--snapshots", type=int, default=200)
 
     p = add("husimi", _cmd_husimi, "Husimi Q grid of a pure field state")
@@ -675,7 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_flight_flags(p, "end time (default: the bump's --t-tof)")
     p.add_argument("--dt", type=float, default=math.pi / 32)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-11, help=TOL_HELP)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help=TOL_HELP)
     p.add_argument("--grid", default="-6:6:241")
     p.set_defaults(out="frames")
     return parser

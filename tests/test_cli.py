@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cnlight
 from cnlight import cli, g17
-from cnlight.cli import _grid_csv, _grid_template, _parse_grid, run_command
+from cnlight.cli import _grid_bytes, _grid_template, _parse_grid, run_command
 from cnlight.errors import ValidationError
 from cnlight.observables import FieldDensityMatrix, husimi, reduce_field
 
@@ -131,6 +132,20 @@ def test_bad_grid_exits_2(capsys):
         ["husimi", "--nu0", "1", "--grid=-1:1:100000"],
         ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.4",
          "--grid=-1:1:1000,-1:1:1001"],
+        # photon and atom numbers past the caps, refused before the
+        # (nu_max + 1)^2 density matrix or the sector basis is built
+        ["husimi", "--nu0", "100000", "--grid=-1:1:2"],
+        ["symmetry", "--nu1", "0", "--nu2", "100000"],
+        ["evolve", *XI_REF, "--nu0", "101", "--t-end", "0.1",
+         "--snapshots", "1"],
+        ["animate", *XI_REF, "--nu1", "101", "--nu2", "0", "--t-end", "0.2",
+         "--grid=-1:1:3"],
+        ["protocol", "--nu0", "101", "--passes", "1"],
+        ["basis", "--na", "21", "--m", "3"],
+        ["evolve", *XI_REF, "--na", "21", "--nu0", "3", "--t-end", "0.1",
+         "--snapshots", "1"],
+        ["symmetry", *XI_REF, "--na", "21", "--nu1", "1", "--nu2", "4",
+         "--t-end", "0.1"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
@@ -147,7 +162,9 @@ def test_bad_grid_exits_2(capsys):
         "symmetry-na-without-flight", "husimi-theta-with-nu0",
         "animate-xi-phase-with-nu0", "tol=1e-300", "t-tof-ref=1e300",
         "dt=1e-300", "snapshots=1e30", "dt=5e-324", "grid=1e5^2",
-        "grid=1000x1001",
+        "grid=1000x1001", "husimi-nu0=1e5", "symmetry-nu2=1e5",
+        "evolve-nu0=101", "animate-nu1=101", "protocol-nu0=101",
+        "basis-na=21", "evolve-na=21", "symmetry-na=21",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
@@ -160,6 +177,12 @@ def test_grid_of_max_points_parses():
     assert cli.MAX_GRID_POINTS == 1000 * 1000
     with pytest.raises(ValidationError):
         _parse_grid("-1:1:1001,-1:1:1000")
+
+
+def test_photon_and_atom_caps_admit_their_bound(capsys):
+    assert (cli.MAX_PHOTONS, cli.MAX_ATOMS) == (100, 20)
+    assert run_command(["husimi", "--nu0", "100", "--grid=-1:1:2"]) == 0
+    assert run_command(["basis", "--na", "20", "--m", "3"]) == 0
 
 
 def test_failed_exit_search_exits_3(capsys):
@@ -293,6 +316,10 @@ def test_protocol_negative_passes_exits_2(capsys):
 # ---------------------------------------------------------------------------
 # file outputs and manifests
 
+MANIFEST_KEYS = [
+    "command", "parameters", "version", "grid", "outputs", "duration_seconds",
+]
+
 
 def test_husimi_writes_file_and_manifest(tmp_path, capsys):
     out = tmp_path / "vac.csv"
@@ -304,11 +331,15 @@ def test_husimi_writes_file_and_manifest(tmp_path, capsys):
     assert np.max(values[:, 2]) == pytest.approx(1.0 / math.pi, abs=1e-12)
 
     manifest = json.loads((tmp_path / "vac.manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest) == MANIFEST_KEYS
     assert manifest["command"] == "husimi"
+    assert manifest["parameters"] == {
+        "command": "husimi", "grid": "-3:3:61", "nu0": 0, "nu1": None,
+        "nu2": None, "theta": math.pi / 4, "xi_phase": 0.0,
+    }
+    assert manifest["version"] == cnlight.__version__
     assert manifest["outputs"] == ["vac.csv"]
     assert manifest["grid"] == {"q": [-3.0, 3.0, 61], "p": [-3.0, 3.0, 61]}
-    assert "out" not in manifest["parameters"]
-    assert manifest["parameters"]["nu0"] == 0
     vacuum = FieldDensityMatrix(rho=np.ones((1, 1)))
     grid = _parse_grid("-3:3:61")
     assert out.read_text(encoding="utf-8") == reference_csv(
@@ -382,9 +413,26 @@ def test_grid_csv_matches_reference():
         0.0, -0.0, 5e-324, 1.0 / 3.0, 1e300, -1.0 / 7.0,
         0.1, 1e-17, 2.5, -3.0, 6.02e23, math.pi,
     ]).reshape(4, 3)
-    text = _grid_csv(values, _grid_template(grid))
+    text = _grid_bytes(values, _grid_template(grid)).decode("ascii")
     assert text == reference_csv(values, grid)
     assert text.splitlines()[1:3] == ["-1,-2,0", "0,-2,-0"]
+
+
+LONG_TEXT = [1.0 / 3.0, -1.0 / 7.0, 1e-300, math.nan]
+SHORT_TEXT = [0.0, -0.0, 0.5, 1e-5]
+
+
+@pytest.mark.parametrize(
+    "first, second", [(LONG_TEXT, SHORT_TEXT), (SHORT_TEXT, LONG_TEXT)],
+    ids=["long-then-short", "short-then-long"],
+)
+def test_refilled_grid_rows_keep_nothing_of_the_frame_before(first, second):
+    grid = _parse_grid("-1:1:2")
+    rows = _grid_template(grid)
+    for values in (first, second):
+        values = np.array(values).reshape(2, 2)
+        text = _grid_bytes(values, rows).decode("ascii")
+        assert text == reference_csv(values, grid)
 
 
 def test_animate_writes_frames(tmp_path, monkeypatch, capsys):
@@ -405,9 +453,20 @@ def test_animate_writes_frames(tmp_path, monkeypatch, capsys):
     frames = sorted(p.name for p in out.glob("husimi_*.csv"))
     assert frames == [f"husimi_{k:05d}.csv" for k in range(5)]
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == "animate"
+    frame_times = manifest["parameters"].pop("frame_times")
+    assert manifest["parameters"] == {
+        "command": "animate", "config": "xi", "delta12": 0.0, "delta13": 0.0,
+        "delta23": 0.0, "dt": 0.1, "grid": "-2:2:21", "mode": "constant",
+        "mu12": 1.0, "mu13": 0.0, "mu23": math.sqrt(2.0), "na": 1, "nu0": 2,
+        "nu1": None, "nu2": None, "stride": 1, "t_end": 0.4, "t_tof": None,
+        "theta": math.pi / 4, "tol": 1e-11, "xi_phase": 0.0,
+    }
+    assert manifest["version"] == cnlight.__version__
+    assert manifest["grid"] == {"q": [-2.0, 2.0, 21], "p": [-2.0, 2.0, 21]}
     assert manifest["outputs"] == frames
-    assert len(manifest["parameters"]["frame_times"]) == 5
-    assert manifest["parameters"]["frame_times"][-1] == pytest.approx(0.4)
+    assert frame_times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
 
     (traj,) = trajectories
     grid = _parse_grid("-2:2:21")
@@ -432,6 +491,17 @@ def test_animate_checks_cheap_input_before_integrating(
     assert run_command(argv) == 2
     assert calls == []
     assert not out.exists()
+
+
+def test_animate_into_a_regular_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "frames"
+    out.write_bytes(b"not a directory")
+    argv = ["animate", *XI_REF, "--nu0", "2", "--t-end", "0.2", "--dt", "0.1",
+            "--grid=-1:1:3", "--out", str(out)]
+    assert run_command(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert out.read_bytes() == b"not a directory"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_animate_stride_larger_than_trajectory(tmp_path, capsys):
