@@ -38,15 +38,16 @@ from .dynamics import (
 from .errors import NumericalError, ValidationError
 from .hilbert import AtomicConfig, Kind, build_sector_basis
 from .observables import (
-    DEFAULT_GRID,
     FieldDensityMatrix,
     detect_cyclic_symmetry,
     husimi,
-    linear_entropy,
-    photon_probabilities,
+    linear_entropies,
     pure_field,
     reduce_field,
+    reduce_fields,
 )
+# unused here; perfbench/spans.py traces these bindings
+from .observables import linear_entropy, photon_probabilities  # noqa: F401
 from .protocol import (
     REFERENCE_CATS,
     PassSpec,
@@ -386,15 +387,12 @@ def _cmd_evolve(args) -> int:
     started = time.perf_counter()
     traj = _trajectory(args, _t_end_from(args),
                        tol=args.tol, n_snapshots=args.snapshots)
-    nu_max = traj.snapshots[0].nu_max
-    header = "time," + ",".join(f"p{n}" for n in range(nu_max + 1)) + ",entropy"
+    rhos = reduce_fields(traj)
+    probs = rhos.diagonal(axis1=1, axis2=2).real
+    header = "time," + ",".join(f"p{n}" for n in range(len(rhos[0]))) + ",entropy"
     lines = [header]
-    for t, snap in zip(traj.times, traj.snapshots):
-        rho = reduce_field(snap)
-        probs = photon_probabilities(rho)
-        row = [_fmt(t)] + [_fmt(p) for p in probs]
-        row.append(_fmt(linear_entropy(rho)))
-        lines.append(",".join(row))
+    for t, p, s_l in zip(traj.times, probs, linear_entropies(rhos)):
+        lines.append(",".join(map(_fmt, [t, *p, s_l])))
     _emit(args, "\n".join(lines) + "\n", None, started)
     return 0
 
@@ -413,7 +411,7 @@ def _cmd_symmetry(args) -> int:
     started = time.perf_counter()
     if _evolves(args):
         traj = _trajectory(args, _t_end_from(args))
-        field = reduce_field(traj.snapshots[-1])
+        field = reduce_field(traj.state(-1))
     else:
         field = _field_from(args)
     rep = detect_cyclic_symmetry(field, tol=args.tol)
@@ -527,7 +525,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_animate(args) -> int:
-    """Write husimi_%05d.csv frames plus manifest.json into --out."""
+    """Write husimi_%05d.csv frames plus manifest.json into --out, and
+    remove every other husimi_*.csv there."""
     started = time.perf_counter()
     t_end = _t_end_from(args)
     if not args.dt > 0:
@@ -546,13 +545,21 @@ def _cmd_animate(args) -> int:
     rows = _grid_template(grid)
     names: List[str] = []
     frame_times: List[float] = []
-    for k, i in enumerate(range(0, len(traj.snapshots), args.stride)):
-        hg = husimi(reduce_field(traj.snapshots[i]), grid)
+    for k, i in enumerate(range(0, len(traj.times), args.stride)):
+        hg = husimi(reduce_field(traj.state(i)), grid)
         names.append(f"husimi_{k:05d}.csv")
         _write_atomic(out_dir / names[-1], _grid_bytes(hg.values, rows))
         frame_times.append(float(traj.times[i]))
     _write_manifest(out_dir / "manifest.json", args, grid, names, started,
                     frame_times=frame_times)
+    # frames of an earlier, longer run into the same directory
+    listed = set(names)
+    for path in out_dir.glob("husimi_*.csv"):
+        if path.name not in listed:
+            try:
+                path.unlink()
+            except OSError as exc:
+                raise ValidationError(f"cannot remove {path}: {exc}") from exc
     return 0
 
 

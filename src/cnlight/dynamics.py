@@ -458,23 +458,42 @@ def integrate_ode(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of a SystemState on a monotone time grid."""
+    """A state on a monotone time grid, as one (T, N) array.
+
+    Row k of ``amplitudes`` stacks the sectors of the state at ``times[k]``
+    in label order; ``sectors`` maps each label to its basis and its slice
+    of a row.
+    """
 
     times: np.ndarray
-    snapshots: Tuple[SystemState, ...]
+    amplitudes: np.ndarray
+    sectors: Mapping[int, Tuple[SectorBasis, slice]]
     stats: IntegratorStats
+
+    def state(self, k: int) -> SystemState:
+        """The state at ``times[k]``; its sector arrays are views of row k."""
+        row = self.amplitudes[k]
+        return SystemState(sectors={
+            m: (basis, row[sl]) for m, (basis, sl) in self.sectors.items()
+        })
 
     def state_at(self, t: float) -> SystemState:
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > 1e-9:
             raise KeyError(f"no snapshot at t={t}")
-        return self.snapshots[i]
+        return self.state(i)
+
+    @functools.cached_property
+    def snapshots(self) -> Tuple[SystemState, ...]:
+        """Every state of the trajectory, in time order."""
+        return tuple(self.state(k) for k in range(len(self.times)))
 
 
 def _block_system(
     sectors: Mapping[int, Tuple[SectorBasis, np.ndarray]], config: AtomicConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[int, slice]]:
-    """Bare energies, frame energies, H_int and each sector's slice.
+) -> Tuple[Dict[int, Tuple[SectorBasis, slice]], np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked layout (label -> basis and slice, in label order), bare
+    energies, frame energies and H_int.
 
     The frame energy E0 of every basis state is the bare energy of the
     first basis state of its sector; E - E0 is exactly zero on a resonant
@@ -485,15 +504,16 @@ def _block_system(
     e = np.zeros(n)
     e0 = np.zeros(n)
     h = np.zeros((n, n), dtype=complex)
-    slices: Dict[int, slice] = {}
+    layout: Dict[int, Tuple[SectorBasis, slice]] = {}
     start = 0
-    for m, (basis, _) in sectors.items():
-        sl = slices[m] = slice(start, start + len(basis))
-        start = sl.stop
+    for m in sorted(sectors):
+        basis = sectors[m][0]
+        sl = slice(start, start + len(basis))
+        layout[m], start = (basis, sl), sl.stop
         e[sl] = [diagonal_energy(s, config) for s in basis.states]
         e0[sl] = e[sl.start]
         h[sl, sl] = interaction_matrix(config, basis)
-    return e, e0, h, slices
+    return layout, e, e0, h
 
 
 def _frame_rhs(
@@ -528,9 +548,9 @@ def integrate(
     """Propagate a (multi-sector) state from tau = 0 to ``t_end``.
 
     All sectors integrate in one run of the block-diagonal system, each in
-    the frame rotating at its energy E0; the returned snapshots hold
-    physical (Schrodinger-picture) amplitudes psi = exp(-i E0 t) phi on a
-    uniform grid of ``n_snapshots`` intervals merged with any explicitly
+    the frame rotating at its energy E0; the returned trajectory holds the
+    physical (Schrodinger-picture) amplitudes psi = exp(-i E0 t) phi, one
+    row per snapshot, on a uniform grid of ``n_snapshots`` intervals merged with any explicitly
     requested ``snapshot_times``.  Snapshots inside a step come from the
     step's continuous extension, so ``tol`` bounds them as it bounds the
     steps.  A ``tol`` below machine epsilon is refused: its error
@@ -560,26 +580,19 @@ def integrate(
         keep = np.concatenate([[True], np.diff(grid) > 1e-12])
         grid = grid[keep]
 
-    e, e0, h_base, slices = _block_system(initial.sectors, config)
-    y0 = np.concatenate([amps for _, amps in initial.sectors.values()])
+    layout, e, e0, h_base = _block_system(initial.sectors, config)
+    y0 = np.concatenate([initial.sectors[m][1] for m in layout])
     rhs = _frame_rhs(e - e0, h_base, schedule.envelope)
     samples, stats = integrate_ode(rhs, y0, 0.0, t_end, tol, grid)
     ts = np.array([t for t, _ in samples])
     ys = np.array([y for _, y in samples])
-    for m, (_, amps) in initial.sectors.items():
-        norms = np.linalg.norm(ys[:, slices[m]], axis=1)
-        drift = float(np.max(np.abs(norms - np.linalg.norm(amps))))
-        stats.max_norm_drift = max(stats.max_norm_drift, drift)
-    # back to physical amplitudes, one row per snapshot; each sector's
-    # amplitudes are a view of its own slice of that row
+    for m, (_, sl) in layout.items():
+        norms = np.linalg.norm(ys[:, sl], axis=1)
+        drift = np.max(np.abs(norms - np.linalg.norm(initial.sectors[m][1])))
+        stats.max_norm_drift = max(stats.max_norm_drift, float(drift))
+    # back to physical amplitudes, one row per snapshot
     rows = np.exp((-1j * e0)[None, :] * ts[:, None]) * ys
-    snapshots = tuple(
-        SystemState(sectors={
-            m: (basis, row[slices[m]]) for m, (basis, _) in initial.sectors.items()
-        })
-        for row in rows
-    )
-    return Trajectory(times=grid, snapshots=snapshots, stats=stats)
+    return Trajectory(times=grid, amplitudes=rows, sectors=layout, stats=stats)
 
 
 # ------------------------------------------------------------------
@@ -664,17 +677,17 @@ class SectorPropagator:
     def __init__(self, initial: SystemState, config: AtomicConfig):
         self._initial = initial
         self._config = config
-        self._e, self._e0, self._h, self._slices = _block_system(
+        self._sectors, self._e, self._e0, self._h = _block_system(
             initial.sectors, config
         )
         self._closed = None
         self._flight = None
         if np.array_equal(self._e, self._e0):
             self._closed = {}
-            for m, (basis, amps) in initial.sectors.items():
-                sl = self._slices[m]
+            for m, (basis, sl) in self._sectors.items():
                 lam, v = np.linalg.eigh(self._h[sl, sl])
                 e0 = float(self._e0[sl.start])
+                amps = initial.sectors[m][1]
                 self._closed[m] = (basis, e0, lam, v, v.conj().T @ amps)
 
     def states_at(
@@ -713,8 +726,8 @@ class SectorPropagator:
             )
             u_block = np.exp(-1j * e0)[:, None] * phi
             self._flight = {}
-            for m, (basis, amps) in self._initial.sectors.items():
-                sl = self._slices[m]
+            for m, (basis, sl) in self._sectors.items():
+                amps = self._initial.sectors[m][1]
                 u_entry = u_block[sl, sl]
                 lam, w = np.linalg.eigh(np.diag(e[sl]) + h[sl, sl])
                 # U_exit W, and the plateau coefficients W^dag U_entry psi(0)

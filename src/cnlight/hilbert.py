@@ -224,10 +224,6 @@ class SectorBasis:
         """
         return len(self.states) == sector_dimension(self.na)
 
-    @property
-    def photon_numbers(self) -> Tuple[int, ...]:
-        return tuple(s.nu for s in self.states)
-
     def index(self, q: int, r: int) -> int:
         """Position of the state with matter labels ``(q, r)``."""
         for i, s in enumerate(self.states):

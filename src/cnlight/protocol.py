@@ -188,11 +188,6 @@ def _scan_and_refine(
     return x_best, f_best
 
 
-def _entropy_trace(traj: Trajectory) -> np.ndarray:
-    """S_L of every snapshot, from one reduction of the whole trajectory."""
-    return linear_entropies(reduce_fields(traj.snapshots))
-
-
 def _pure_amplitudes(field: FieldDensityMatrix) -> np.ndarray:
     """Fock amplitudes of a pure field state, global phase fixed."""
     s_l = linear_entropy(field)
@@ -268,13 +263,13 @@ def _passage_report(
     The first pass carries the minimum its exit-time search reached; a
     later pass has none and carries its leakage instead.
     """
-    probs = photon_probabilities(reduce_field(traj.snapshots[-1]))
+    probs = photon_probabilities(reduce_field(traj.state(-1)))
     field, theta, xi = _read_off(components)
     return PassageReport(
         exit_time=float(traj.times[-1]),
         probabilities=probs,
         times=traj.times,
-        entropies=_entropy_trace(traj),
+        entropies=linear_entropies(reduce_fields(traj)),
         field=field,
         symmetry=detect_cyclic_symmetry(field),
         min_probability=min_probability,
@@ -350,7 +345,7 @@ def first_passage(
 
     final = integrate(initial, config, schedule, t_exit)
     if components is None:
-        _, amps = final.snapshots[-1].sectors[nu0]
+        amps = final.amplitudes[-1, final.sectors[nu0][1]]
         components = {
             nu0 - 2: complex(amps[basis.index(0, 0)]),
             nu0: complex(amps[basis.index(1, 1)]),
@@ -374,7 +369,7 @@ def subsequent_passage(
     state = _state_from_field(field, config, na)
     schedule = CouplingSchedule(mode="bump", t_tof=t_tof)
     traj = integrate(state, config, schedule, t_tof)
-    return _passage_report(traj, _exit_components(traj.snapshots[-1]))
+    return _passage_report(traj, _exit_components(traj.state(-1)))
 
 
 # ------------------------------------------------------------------

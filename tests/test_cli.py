@@ -146,6 +146,7 @@ def test_bad_grid_exits_2(capsys):
          "--snapshots", "1"],
         ["symmetry", *XI_REF, "--na", "21", "--nu1", "1", "--nu2", "4",
          "--t-end", "0.1"],
+        ["husimi", "--nu0", "100", "--grid=-1:1:1000"],
     ],
     ids=[
         "literal-envelope", "tol<0", "tol=0", "snapshots<0", "snapshots=0",
@@ -165,6 +166,7 @@ def test_bad_grid_exits_2(capsys):
         "grid=1000x1001", "husimi-nu0=1e5", "symmetry-nu2=1e5",
         "evolve-nu0=101", "animate-nu1=101", "protocol-nu0=101",
         "basis-na=21", "evolve-na=21", "symmetry-na=21",
+        "husimi-overlaps-above-cap",
     ],
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
@@ -512,6 +514,22 @@ def test_animate_stride_larger_than_trajectory(tmp_path, capsys):
     )
     assert code == 0
     assert [p.name for p in sorted(out.glob("husimi_*.csv"))] == ["husimi_00000.csv"]
+
+
+def test_a_second_run_into_one_directory_leaves_only_its_own_frames(
+    tmp_path, capsys
+):
+    out = tmp_path / "frames"
+    argv = ["animate", *XI_REF, "--nu0", "2", "--dt", "0.1", "--grid=-1:1:3",
+            "--out", str(out)]
+    assert run_command([*argv, "--t-end", "0.4"]) == 0
+    (out / "notes.txt").write_bytes(b"not a frame")
+    assert run_command([*argv, "--t-end", "0.2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    on_disk = sorted(p.name for p in out.glob("husimi_*.csv"))
+    assert on_disk == manifest["outputs"]
+    assert on_disk == [f"husimi_{k:05d}.csv" for k in range(3)]
+    assert (out / "notes.txt").read_bytes() == b"not a frame"
 
 
 # ---------------------------------------------------------------------------

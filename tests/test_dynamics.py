@@ -731,8 +731,11 @@ class TestIntegrate:
         assert len(state.sectors) == 2
         traj = integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=3.0), 3.0)
         assert ranks == [1]
-        # the sectors are disjoint views: writing into one touches no other
-        snap = traj.snapshots[-1]
+        # the sectors are disjoint views of the trajectory's one array:
+        # writing into one touches no other
+        snap = traj.state(-1)
+        for _, amps in snap.sectors.values():
+            assert np.shares_memory(amps, traj.amplitudes)
         before = snap.sectors[3][1].copy()
         snap.sectors[1][1][:] = 0.0
         assert snap.sectors[3][1].tobytes() == before.tobytes()

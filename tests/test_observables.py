@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -94,6 +95,10 @@ class TestReduceField:
         want = np.zeros((4, 4), dtype=complex)
         want[3, 3] = 1.0
         assert np.allclose(rho.rho, want, atol=1e-15)
+
+    def test_state_without_sectors_is_refused(self):
+        with pytest.raises(ValidationError, match="no sectors"):
+            reduce_field(SystemState(sectors={}))
 
     def test_evolved_ground_is_diagonal(self):
         # the three exit channels ride orthogonal atom levels, so every
@@ -255,16 +260,18 @@ class TestReduceFields:
         schedule = CouplingSchedule(mode=mode, t_tof=2.5 if mode == "bump" else 0.0)
         traj = integrate(state, cfg, schedule, 2.5, tol=1e-8, n_snapshots=12)
 
-        rhos = reduce_fields(traj.snapshots)
+        rhos = reduce_fields(traj)
         entropies = linear_entropies(rhos)
-        assert rhos.shape == (len(traj.snapshots), max(ms) + 1, max(ms) + 1)
-        for snap, rho, s_l in zip(traj.snapshots, rhos, entropies):
+        assert rhos.shape == (len(traj.times), max(ms) + 1, max(ms) + 1)
+        for k, (rho, s_l) in enumerate(zip(rhos, entropies)):
+            snap = traj.state(k)
             want = reduce_field_by_dicts(snap)
             assert np.max(np.abs(rho - want)) <= STACK_ATOL
             assert abs(s_l - (1.0 - np.sum(np.abs(want) ** 2))) <= STACK_ATOL
-            # reduce_field is the one-snapshot case of the same code
+            # reduce_field is the one-state case of the same code, bit for bit
             one = reduce_field(snap)
             assert np.max(np.abs(one.rho - want)) <= STACK_ATOL
+            assert np.array_equal(one.rho, rho)
             assert np.max(np.abs(
                 photon_probabilities(one) - np.real(np.diag(want))
             )) <= STACK_ATOL
@@ -275,24 +282,22 @@ class TestReduceFields:
         return integrate(state, REF, CONSTANT_SCHEDULE, 1.0, n_snapshots=5)
 
     def test_one_state_with_a_wrong_trace_fails_the_stack(self):
-        snaps = list(self.trajectory().snapshots)
-        snaps[3] = SystemState(sectors={
-            m: (b, 1.1 * a) for m, (b, a) in snaps[3].sectors.items()
-        })
+        traj = self.trajectory()
+        amps = traj.amplitudes.copy()
+        amps[3] *= 1.1
         with pytest.raises(ValidationError, match="rho 3 trace"):
-            reduce_fields(snaps)
+            reduce_fields(dataclasses.replace(traj, amplitudes=amps))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_one_non_finite_state_fails_the_stack(self, bad):
-        snaps = list(self.trajectory().snapshots)
-        m, (basis, amps) = next(iter(snaps[2].sectors.items()))
-        amps = amps.copy()
-        amps[0] = bad
-        snaps[2] = SystemState(sectors={**snaps[2].sectors, m: (basis, amps)})
+        traj = self.trajectory()
+        amps = traj.amplitudes.copy()
+        amps[2, 0] = bad
+        bad_traj = dataclasses.replace(traj, amplitudes=amps)
         with pytest.raises(ValidationError, match="state 2 has a non-finite"):
-            reduce_fields(snaps)
+            reduce_fields(bad_traj)
         with pytest.raises(ValidationError, match="non-finite"):
-            reduce_field(snaps[2])
+            reduce_field(bad_traj.state(2))
 
     @pytest.mark.parametrize("entry, shift, message", [
         ((1, 3), 1e-6, "is not Hermitian"),
@@ -302,21 +307,11 @@ class TestReduceFields:
     def test_one_bad_row_fails_the_stack_checks(self, entry, shift, message):
         # a reduction is Hermitian by construction, so the checks are fed a
         # corrupted stack directly
-        rhos = reduce_fields(self.trajectory().snapshots)
+        rhos = reduce_fields(self.trajectory())
         observables._check_rhos(rhos)
         rhos[(4,) + entry] += shift
         with pytest.raises(ValidationError, match=f"rho 4 {message}"):
             observables._check_rhos(rhos)
-
-    def test_states_of_one_stack_share_their_sectors(self):
-        a = make_superposition(1, 3, 0.7, 0.4, 1, REF)
-        b = make_superposition(1, 5, 0.7, 0.4, 1, REF)
-        c = make_superposition(1, 3, 0.7, 0.4, 2, REF)
-        for other in (b, c, ground_product_state(REF, 3)):
-            with pytest.raises(ValidationError, match="share"):
-                reduce_fields([a, other])
-        with pytest.raises(ValidationError):
-            reduce_fields([])
 
 
 @pytest.mark.parametrize("amplitudes", [
@@ -420,6 +415,16 @@ class TestHusimi:
             husimi_values(rho, [math.nan, math.inf, 1.0], [0.0, 0.0, math.inf])
         with pytest.raises(ValidationError, match="finite"):
             husimi(rho, ((-math.inf, 1, 3), (0, 1, 2)))
+
+    def test_overlap_table_is_capped_at_its_bound(self, monkeypatch):
+        # the default grid stays open up to 100 photons
+        assert 241 * 241 * 101 <= observables.MAX_OVERLAPS
+        # 4 points of a rho on 0..2 need 4 x 3 overlaps
+        monkeypatch.setattr(observables, "MAX_OVERLAPS", 12)
+        rad, ang = np.linspace(0.0, 1.0, 4), np.zeros(4)
+        assert husimi_values(fock_projector(2, 2), rad, ang).shape == (4,)
+        with pytest.raises(ValidationError, match="more than 12"):
+            husimi_values(fock_projector(3, 3), rad, ang)
 
 
 def husimi_by_einsum(rho, rad, ang):
