@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -44,7 +45,7 @@ from .observables import (
     linear_entropies,
     pure_field,
     reduce_field,
-    reduce_fields,
+    reduce_field_blocks,
 )
 # unused here; perfbench/spans.py traces these bindings
 from .observables import linear_entropy, photon_probabilities  # noqa: F401
@@ -387,12 +388,13 @@ def _cmd_evolve(args) -> int:
     started = time.perf_counter()
     traj = _trajectory(args, _t_end_from(args),
                        tol=args.tol, n_snapshots=args.snapshots)
-    rhos = reduce_fields(traj)
-    probs = rhos.diagonal(axis1=1, axis2=2).real
-    header = "time," + ",".join(f"p{n}" for n in range(len(rhos[0]))) + ",entropy"
-    lines = [header]
-    for t, p, s_l in zip(traj.times, probs, linear_entropies(rhos)):
-        lines.append(",".join(map(_fmt, [t, *p, s_l])))
+    nu_max = max(traj.sectors)
+    lines = ["time," + ",".join(f"p{n}" for n in range(nu_max + 1)) + ",entropy"]
+    for first, rhos in reduce_field_blocks(traj):
+        probs = rhos.diagonal(axis1=1, axis2=2).real
+        times = traj.times[first:first + len(rhos)]
+        for t, p, s_l in zip(times, probs, linear_entropies(rhos)):
+            lines.append(",".join(map(_fmt, [t, *p, s_l])))
     _emit(args, "\n".join(lines) + "\n", None, started)
     return 0
 
@@ -524,9 +526,13 @@ def _cmd_table1(args) -> int:
     return 0
 
 
+# the names animate gives its frames, husimi_%05d.csv
+_FRAME_NAME = re.compile(r"husimi_\d{5,}\.csv")
+
+
 def _cmd_animate(args) -> int:
     """Write husimi_%05d.csv frames plus manifest.json into --out, and
-    remove every other husimi_*.csv there."""
+    remove every other file there named like a frame."""
     started = time.perf_counter()
     t_end = _t_end_from(args)
     if not args.dt > 0:
@@ -555,7 +561,8 @@ def _cmd_animate(args) -> int:
     # frames of an earlier, longer run into the same directory
     listed = set(names)
     for path in out_dir.glob("husimi_*.csv"):
-        if path.name not in listed:
+        if (_FRAME_NAME.fullmatch(path.name) and path.name not in listed
+                and path.is_file()):
             try:
                 path.unlink()
             except OSError as exc:

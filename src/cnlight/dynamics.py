@@ -51,6 +51,7 @@ __all__ = [
     "make_superposition",
     "ground_product_state",
     "product_state",
+    "sector_layout",
 ]
 
 DEFAULT_TOL = 1e-11
@@ -461,8 +462,8 @@ class Trajectory:
     """A state on a monotone time grid, as one (T, N) array.
 
     Row k of ``amplitudes`` stacks the sectors of the state at ``times[k]``
-    in label order; ``sectors`` maps each label to its basis and its slice
-    of a row.
+    in label order; ``sectors``, the ``sector_layout`` of that state, maps
+    each label to its basis and its slice of a row.
     """
 
     times: np.ndarray
@@ -489,27 +490,41 @@ class Trajectory:
         return tuple(self.state(k) for k in range(len(self.times)))
 
 
+def sector_layout(
+    sectors: Mapping[int, Tuple[SectorBasis, np.ndarray]]
+) -> Dict[int, Tuple[SectorBasis, slice]]:
+    """How the sectors of a state stack into one amplitude row: label ->
+    basis and slice of the row, in label order.
+
+    Every stacked array (a trajectory, a propagator's system, a reduction's
+    pair list) is laid out by this one rule.
+    """
+    layout: Dict[int, Tuple[SectorBasis, slice]] = {}
+    start = 0
+    for m in sorted(sectors):
+        basis = sectors[m][0]
+        layout[m] = (basis, slice(start, start + len(basis)))
+        start += len(basis)
+    return layout
+
+
 def _block_system(
     sectors: Mapping[int, Tuple[SectorBasis, np.ndarray]], config: AtomicConfig
 ) -> Tuple[Dict[int, Tuple[SectorBasis, slice]], np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked layout (label -> basis and slice, in label order), bare
-    energies, frame energies and H_int.
+    """Stacked layout (``sector_layout``), bare energies, frame energies
+    and H_int.
 
     The frame energy E0 of every basis state is the bare energy of the
     first basis state of its sector; E - E0 is exactly zero on a resonant
     sector.  H_int is block diagonal: one block per sector and exact zeros
     elsewhere, so one integration of the stacked system never mixes them.
     """
+    layout = sector_layout(sectors)
     n = sum(len(basis) for basis, _ in sectors.values())
     e = np.zeros(n)
     e0 = np.zeros(n)
     h = np.zeros((n, n), dtype=complex)
-    layout: Dict[int, Tuple[SectorBasis, slice]] = {}
-    start = 0
-    for m in sorted(sectors):
-        basis = sectors[m][0]
-        sl = slice(start, start + len(basis))
-        layout[m], start = (basis, sl), sl.stop
+    for basis, sl in layout.values():
         e[sl] = [diagonal_energy(s, config) for s in basis.states]
         e0[sl] = e[sl.start]
         h[sl, sl] = interaction_matrix(config, basis)
@@ -550,8 +565,8 @@ def integrate(
     All sectors integrate in one run of the block-diagonal system, each in
     the frame rotating at its energy E0; the returned trajectory holds the
     physical (Schrodinger-picture) amplitudes psi = exp(-i E0 t) phi, one
-    row per snapshot, on a uniform grid of ``n_snapshots`` intervals merged with any explicitly
-    requested ``snapshot_times``.  Snapshots inside a step come from the
+    row per snapshot, on a uniform grid of ``n_snapshots`` intervals
+    merged with any explicitly requested ``snapshot_times``.  Snapshots inside a step come from the
     step's continuous extension, so ``tol`` bounds them as it bounds the
     steps.  A ``tol`` below machine epsilon is refused: its error
     estimates would be roundoff.  So is a grid of more than MAX_SNAPSHOTS

@@ -13,7 +13,8 @@ sector bases, so the reduction is one gather of a_i conj(a_j) over that
 pair list and one scatter-add onto rho.  ``reduce_fields`` does this for
 the (T, N) amplitude array of a trajectory in one array pass and runs the
 checks of ``FieldDensityMatrix`` over the whole stack; ``reduce_field`` is
-its one-state case.
+its one-state case and ``reduce_field_blocks`` runs it over bounded blocks
+of rows.
 
 The Husimi function reads the same stripes.  The coherent-state overlaps
 c[nu, g] = <nu|alpha_g> are one (nu_max + 1, G) table, one contiguous row
@@ -25,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .dynamics import SystemState, Trajectory
+from .dynamics import SystemState, Trajectory, sector_layout
 
 __all__ = [
     "FieldDensityMatrix",
@@ -40,6 +41,7 @@ __all__ = [
     "pure_field",
     "reduce_field",
     "reduce_fields",
+    "reduce_field_blocks",
     "photon_probabilities",
     "photon_weights",
     "linear_entropy",
@@ -58,6 +60,9 @@ COHERENCE_TOL = 1e-10
 # husimi` on 10^6 points peaked at 276 MB RSS for the vacuum and 552 MB at
 # the cap (Linux, Python 3.11, numpy 2.4)
 MAX_OVERLAPS = 2 * 10**7
+# rho entries per block of reduce_field_blocks: 16 MiB of complex, and a
+# few times that in the temporaries of the checks and of S_L
+BLOCK_ENTRIES = 2**20
 _RESIDUAL_SAMPLES = 10_000
 _RESIDUAL_SEED = 20_493
 
@@ -73,7 +78,7 @@ class FieldDensityMatrix:
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValidationError(f"rho must be square, got shape {rho.shape}")
         object.__setattr__(self, "rho", rho)
-        _check_rhos(rho[None])
+        _check_rhos(rho[None], first=None)
 
     @property
     def nu_max(self) -> int:
@@ -87,15 +92,16 @@ class FieldDensityMatrix:
         return float(np.linalg.eigvalsh(self.rho)[0])
 
 
-def _check_rhos(rhos: np.ndarray) -> None:
+def _check_rhos(rhos: np.ndarray, first: Optional[int] = 0) -> None:
     """The checks of a FieldDensityMatrix, run at once over a (T, d, d) stack.
 
     Every rho must be finite, Hermitian to 1e-8 and of trace 1 to 1e-6.
-    A failure in a stack of several names the first offending row.
+    A failure names the first offending row, as ``first`` plus its index
+    in the stack; ``first=None`` names none (a lone rho).
     """
     def refuse(bad: np.ndarray, why: Callable[[int], str]) -> None:
         k = int(np.argmax(bad))
-        row = f" {k}" if len(rhos) > 1 else ""
+        row = "" if first is None else f" {first + k}"
         raise ValidationError(f"rho{row} {why(k)}")
 
     if not np.isfinite(rhos).all():
@@ -184,20 +190,18 @@ def pure_field(amplitudes: Dict[int, complex]) -> FieldDensityMatrix:
     return FieldDensityMatrix(rho=np.outer(vec, vec.conj()))
 
 
-def _pair_list(dim: int, bases):
-    """Gather and scatter indices of the reduction on stacked ``bases``.
+def _pair_list(dim: int, layout):
+    """Gather and scatter indices of the reduction on a stacked ``layout``.
 
     Returns the pairs (i, j) of stacked basis states that share their
     matter labels (q, r), grouped by the flat rho entry nu_i * dim + nu_j
     they land on (in the order of sector pairs, then basis order, within
     a group), the start of each group, and each group's entry.
     """
-    tagged, offset = [], 0
-    for b in bases:
-        tagged.append(
-            {(s.q, s.r): (offset + k, s.nu) for k, s in enumerate(b.states)}
-        )
-        offset += len(b)
+    tagged = [
+        {(s.q, s.r): (sl.start + k, s.nu) for k, s in enumerate(b.states)}
+        for b, sl in layout.values()
+    ]
     pairs = []   # (rho entry, position in the loop, i, j)
     for d1 in tagged:
         for d2 in tagged:
@@ -216,52 +220,70 @@ def _pair_list(dim: int, bases):
     )
 
 
-def _reduce(bases, rows: np.ndarray) -> np.ndarray:
-    """Reduced fields, (T, dim, dim), of amplitude rows stacked as ``bases``.
+def _reducer(layout) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The reduction of amplitude rows stacked by ``layout`` (a
+    ``sector_layout``) to fields, (T, dim, dim) with dim the largest label
+    plus 1, as a function of the rows and the index of the first of them.
 
-    The sectors of ``bases`` lie side by side in every row, in label
-    order, and dim is the largest label plus 1.  A row with a non-finite
-    amplitude raises ValidationError; the checks of a FieldDensityMatrix
-    are left to the caller.  One gather of a_i conj(a_j) over the pair
-    list and one scatter-add of each group onto its rho entry serve every
-    row at once.
+    A row with a non-finite amplitude raises ValidationError naming its
+    index; the checks of a FieldDensityMatrix are left to the caller.  The
+    pair list is built once; one gather of a_i conj(a_j) over it and one
+    scatter-add of each group onto its rho entry serve every row at once.
     """
-    if not np.isfinite(rows).all():
-        k = int(np.argmin(np.isfinite(rows).all(axis=1)))
-        raise ValidationError(f"state {k} has a non-finite amplitude")
-    dim = bases[-1].m + 1
-    gather_i, gather_j, starts, entries = _pair_list(dim, bases)
-    prods = rows.take(gather_i, axis=1) * rows.take(gather_j, axis=1).conj()
-    rhos = np.zeros((len(rows), dim * dim), dtype=complex)
-    rhos[:, entries] = np.add.reduceat(prods, starts, axis=1)
-    return rhos.reshape(len(rows), dim, dim)
+    dim = max(layout) + 1
+    gather_i, gather_j, starts, entries = _pair_list(dim, layout)
+
+    def reduce(rows: np.ndarray, first: int) -> np.ndarray:
+        if not np.isfinite(rows).all():
+            k = first + int(np.argmin(np.isfinite(rows).all(axis=1)))
+            raise ValidationError(f"state {k} has a non-finite amplitude")
+        prods = rows.take(gather_i, axis=1) * rows.take(gather_j, axis=1).conj()
+        rhos = np.zeros((len(rows), dim * dim), dtype=complex)
+        rhos[:, entries] = np.add.reduceat(prods, starts, axis=1)
+        return rhos.reshape(len(rows), dim, dim)
+
+    return reduce
 
 
 def reduce_field(state: SystemState) -> FieldDensityMatrix:
     """Trace out the matter labels of a (normalized) multi-sector state.
 
-    The one-state case of :func:`reduce_fields`: the sectors are stacked
-    in label order, as in a trajectory.
+    The one-state case of :func:`reduce_fields`, stacked by the same
+    ``sector_layout``.
     """
     if not state.sectors:
         raise ValidationError("state has no sectors")
-    ms = sorted(state.sectors)
-    row = np.concatenate([state.sectors[m][1] for m in ms], dtype=complex)
-    bases = [state.sectors[m][0] for m in ms]
-    return FieldDensityMatrix(rho=_reduce(bases, row[None])[0])
+    layout = sector_layout(state.sectors)
+    row = np.concatenate([state.sectors[m][1] for m in layout], dtype=complex)
+    return FieldDensityMatrix(rho=_reducer(layout)(row[None], 0)[0])
 
 
 def reduce_fields(traj: Trajectory) -> np.ndarray:
     """Reduced field rho of every state of a trajectory, stacked as
-    (T, nu_max + 1, nu_max + 1).
-
-    The pair list is built once from the trajectory's sector layout and
-    serves its whole amplitude array.  Every rho passes the checks of a
-    FieldDensityMatrix, else ValidationError naming the first bad row.
+    (T, nu_max + 1, nu_max + 1): the blocks of :func:`reduce_field_blocks`
+    joined, so it grows with T (nu_max + 1)^2.
     """
-    rhos = _reduce([basis for basis, _ in traj.sectors.values()], traj.amplitudes)
-    _check_rhos(rhos)
-    return rhos
+    return np.concatenate([rhos for _, rhos in reduce_field_blocks(traj)])
+
+
+def reduce_field_blocks(traj: Trajectory) -> Iterator[Tuple[int, np.ndarray]]:
+    """Reduced fields of a trajectory a block of rows at a time: yields the
+    index of each block's first row and its (rows, nu_max + 1, nu_max + 1)
+    stack of rho, in time order.
+
+    A block holds at most ``BLOCK_ENTRIES`` rho entries (but at least one
+    row), so memory stays bounded for a trajectory of any length.  The
+    pair list is built once from the trajectory's sector layout and serves
+    every block.  Every rho passes the checks of a FieldDensityMatrix,
+    else ValidationError naming the first bad row by its index in the
+    trajectory.
+    """
+    reduce = _reducer(traj.sectors)
+    rows = max(1, BLOCK_ENTRIES // (max(traj.sectors) + 1) ** 2)
+    for first in range(0, len(traj.amplitudes), rows):
+        rhos = reduce(traj.amplitudes[first:first + rows], first)
+        _check_rhos(rhos, first)
+        yield first, rhos
 
 
 def photon_probabilities(rho: FieldDensityMatrix) -> np.ndarray:

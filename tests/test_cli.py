@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -257,6 +258,23 @@ def test_evolve_csv_shape(capsys):
     for row in rows:
         probs = [float(x) for x in row[1:5]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_evolve_reduces_in_bounded_blocks(capsys):
+    # at the photon cap one rho is 101^2 entries: the whole stack of 2001
+    # snapshots would take 326 MB, its blocks take 16 MB each
+    tracemalloc.start()
+    try:
+        code = run_command(["evolve", *XI_REF, "--nu0", "100", "--t-end", "0.01",
+                            "--snapshots", "2000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 120e6
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2001
+    assert rows[-1].startswith("0.01,")
 
 
 def test_table1_single_row(capsys):
@@ -523,13 +541,20 @@ def test_a_second_run_into_one_directory_leaves_only_its_own_frames(
     argv = ["animate", *XI_REF, "--nu0", "2", "--dt", "0.1", "--grid=-1:1:3",
             "--out", str(out)]
     assert run_command([*argv, "--t-end", "0.4"]) == 0
-    (out / "notes.txt").write_bytes(b"not a frame")
+    # files that are not named like a frame, or are no files, stay
+    kept = ["notes.txt", "husimi_notes.csv", "husimi_0001.csv", "husimi_x.csv"]
+    for name in kept:
+        (out / name).write_bytes(b"not a frame")
+    (out / "husimi_00009.csv").mkdir()
     assert run_command([*argv, "--t-end", "0.2"]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    on_disk = sorted(p.name for p in out.glob("husimi_*.csv"))
-    assert on_disk == manifest["outputs"]
-    assert on_disk == [f"husimi_{k:05d}.csv" for k in range(3)]
-    assert (out / "notes.txt").read_bytes() == b"not a frame"
+    frames = [f"husimi_{k:05d}.csv" for k in range(3)]
+    assert manifest["outputs"] == frames
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        frames + kept + ["husimi_00009.csv", "manifest.json"]
+    )
+    for name in kept:
+        assert (out / name).read_bytes() == b"not a frame"
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from cnlight.observables import (
     photon_weights,
     pure_field,
     reduce_field,
+    reduce_field_blocks,
     reduce_fields,
 )
 
@@ -298,6 +299,31 @@ class TestReduceFields:
             reduce_fields(bad_traj)
         with pytest.raises(ValidationError, match="non-finite"):
             reduce_field(bad_traj.state(2))
+
+    @pytest.mark.parametrize("entries", [1, 16, 2 * 16, 3 * 16 + 5, 10**6])
+    def test_blocks_are_the_stack_bit_for_bit(self, entries, monkeypatch):
+        traj = self.trajectory()   # nu_max 3: 16 entries per rho
+        whole = reduce_fields(traj)
+        monkeypatch.setattr(observables, "BLOCK_ENTRIES", entries)
+        blocks = list(reduce_field_blocks(traj))
+        rows = max(1, entries // 16)
+        assert [first for first, _ in blocks] == list(range(0, len(whole), rows))
+        assert all(rhos.size <= max(entries, 16) for _, rhos in blocks)
+        assert np.array_equal(np.concatenate([r for _, r in blocks]), whole)
+
+    def test_blocks_name_a_bad_row_by_its_index_in_the_trajectory(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(observables, "BLOCK_ENTRIES", 32)   # 2 rows each
+        traj = self.trajectory()
+        amps = traj.amplitudes.copy()
+        amps[3] *= 1.1
+        with pytest.raises(ValidationError, match="rho 3 trace"):
+            list(reduce_field_blocks(dataclasses.replace(traj, amplitudes=amps)))
+        amps[3] = traj.amplitudes[3]
+        amps[2, 0] = np.nan
+        with pytest.raises(ValidationError, match="state 2 has a non-finite"):
+            list(reduce_field_blocks(dataclasses.replace(traj, amplitudes=amps)))
 
     @pytest.mark.parametrize("entry, shift, message", [
         ((1, 3), 1e-6, "is not Hermitian"),
