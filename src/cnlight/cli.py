@@ -39,6 +39,7 @@ from .dynamics import (
 from .errors import NumericalError, ValidationError
 from .hilbert import AtomicConfig, Kind, build_sector_basis
 from .observables import (
+    MAX_OVERLAPS,
     FieldDensityMatrix,
     detect_cyclic_symmetry,
     husimi,
@@ -67,6 +68,9 @@ MAX_GRID_POINTS = 10**6
 # basis of na atoms, (na + 1)(na + 2) / 2 states, is enumerated pair by pair
 MAX_PHOTONS = 100
 MAX_ATOMS = 20
+# Q values per husimi call of animate: 1 MB of float64, 8 frames of a 121^2
+# grid; a frame of more points is a block of its own
+FRAME_BLOCK_VALUES = 2**17
 
 
 def _fmt(x: float) -> str:
@@ -259,6 +263,19 @@ def _parse_grid(text: str) -> GridSpec:
     return q_axis, p_axis
 
 
+def _check_overlaps(grid: GridSpec, args: argparse.Namespace) -> None:
+    """Refuse a grid whose coherent-overlap table, points times (largest
+    photon number of the state flags + 1), would pass MAX_OVERLAPS, before
+    any integration or row template is built."""
+    points = grid[0][2] * grid[1][2]
+    nu_max = max(_photon_numbers(args))
+    if points * (nu_max + 1) > MAX_OVERLAPS:
+        raise ValidationError(
+            f"{points} grid points at nu_max = {nu_max} need more than "
+            f"{MAX_OVERLAPS} coherent-state overlaps"
+        )
+
+
 def _grid_template(grid: GridSpec) -> bytearray:
     """CSV rows of ``grid`` with the value fields still empty, p-major.
 
@@ -402,6 +419,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_husimi(args) -> int:
     started = time.perf_counter()
     grid = _parse_grid(args.grid)
+    _check_overlaps(grid, args)
     field = _field_from(args)
     hg = husimi(field, grid)
     text = _grid_bytes(hg.values, _grid_template(grid)).decode("ascii")
@@ -544,18 +562,24 @@ def _cmd_animate(args) -> int:
             f"--dt {args.dt} makes more than {MAX_SNAPSHOTS} frames"
         )
     grid = _parse_grid(args.grid)
+    _check_overlaps(grid, args)
     n_frames = max(int(round(t_end / args.dt)), 1)
     traj = _trajectory(args, n_frames * args.dt,
                        tol=args.tol, n_snapshots=n_frames)
     out_dir = Path(args.out)
     rows = _grid_template(grid)
+    frames = range(0, len(traj.times), args.stride)
+    # one husimi call, one set of points and one overlap table per block
+    per_block = max(1, FRAME_BLOCK_VALUES // (grid[0][2] * grid[1][2]))
     names: List[str] = []
     frame_times: List[float] = []
-    for k, i in enumerate(range(0, len(traj.times), args.stride)):
-        hg = husimi(reduce_field(traj.state(i)), grid)
-        names.append(f"husimi_{k:05d}.csv")
-        _write_atomic(out_dir / names[-1], _grid_bytes(hg.values, rows))
-        frame_times.append(float(traj.times[i]))
+    for first in range(0, len(frames), per_block):
+        block = frames[first:first + per_block]
+        hg = husimi([reduce_field(traj.state(i)) for i in block], grid)
+        for i, values in zip(block, hg.values):
+            names.append(f"husimi_{len(names):05d}.csv")
+            _write_atomic(out_dir / names[-1], _grid_bytes(values, rows))
+            frame_times.append(float(traj.times[i]))
     _write_manifest(out_dir / "manifest.json", args, grid, names, started,
                     frame_times=frame_times)
     # frames of an earlier, longer run into the same directory

@@ -58,6 +58,7 @@ DEFAULT_TOL = 1e-11
 SEARCH_TOL = 1e-9      # integration tolerance of search probes off the exact paths
 MIN_STEP = 1e-12
 MAX_SNAPSHOTS = 10**6   # snapshot intervals of one integration
+_ROW_BLOCK = 2**16      # amplitudes per block of integrate's frame rotation
 GAUSS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the envelope
 
 
@@ -600,13 +601,19 @@ def integrate(
     rhs = _frame_rhs(e - e0, h_base, schedule.envelope)
     samples, stats = integrate_ode(rhs, y0, 0.0, t_end, tol, grid)
     ts = np.array([t for t, _ in samples])
-    ys = np.array([y for _, y in samples])
-    for m, (_, sl) in layout.items():
-        norms = np.linalg.norm(ys[:, sl], axis=1)
-        drift = np.max(np.abs(norms - np.linalg.norm(initial.sectors[m][1])))
-        stats.max_norm_drift = max(stats.max_norm_drift, float(drift))
-    # back to physical amplitudes, one row per snapshot
-    rows = np.exp((-1j * e0)[None, :] * ts[:, None]) * ys
+    rows = np.array([y for _, y in samples])
+    norms0 = {m: np.linalg.norm(initial.sectors[m][1]) for m in layout}
+    # the norm drift, then back to physical amplitudes in place, a bounded
+    # block of rows at a time: no second (T, N) array
+    step = max(1, _ROW_BLOCK // len(y0))
+    for first in range(0, len(rows), step):
+        block = rows[first:first + step]
+        for m, (_, sl) in layout.items():
+            norms = np.linalg.norm(block[:, sl], axis=1)
+            drift = np.max(np.abs(norms - norms0[m]))
+            stats.max_norm_drift = max(stats.max_norm_drift, float(drift))
+        phase = np.exp((-1j * e0)[None, :] * ts[first:first + step, None])
+        np.multiply(phase, block, out=block)
     return Trajectory(times=grid, amplitudes=rows, sectors=layout, stats=stats)
 
 

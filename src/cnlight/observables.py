@@ -19,14 +19,15 @@ of rows.
 The Husimi function reads the same stripes.  The coherent-state overlaps
 c[nu, g] = <nu|alpha_g> are one (nu_max + 1, G) table, one contiguous row
 per photon number, and Q at every point is summed one diagonal of rho at
-a time, skipping the diagonals that hold only zeros.
+a time, skipping the diagonals that hold only zeros.  A batch of fields on
+the same points shares that one table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,7 +123,9 @@ def _check_rhos(rhos: np.ndarray, first: Optional[int] = 0) -> None:
 class HusimiGrid:
     """Q values on a rectangular quadrature grid, alpha = (q + ip)/sqrt(2).
 
-    ``values[i, j]`` is Q at (q_values[j], p_values[i]).
+    ``values[i, j]`` is Q at (q_values[j], p_values[i]).  For a batch of
+    fields (see :func:`husimi`) ``values`` is (F, n_p, n_q) and
+    ``values[f, i, j]`` is Q of the f-th field there.
     """
 
     q_range: Tuple[float, float]
@@ -139,11 +142,13 @@ class HusimiGrid:
     def p_values(self) -> np.ndarray:
         return np.linspace(self.p_range[0], self.p_range[1], self.n_p)
 
-    def normalization(self) -> float:
-        """Riemann sum of Q dq dp / 2 (the coherent-state measure)."""
+    def normalization(self) -> Union[float, np.ndarray]:
+        """Riemann sum of Q dq dp / 2 (the coherent-state measure) over the
+        last two axes: a float, or one sum per field of a batch."""
         dq = (self.q_range[1] - self.q_range[0]) / (self.n_q - 1)
         dp = (self.p_range[1] - self.p_range[0]) / (self.n_p - 1)
-        return float(np.sum(self.values) * dq * dp / 2.0)
+        sums = np.sum(self.values, axis=(-2, -1)) * dq * dp / 2.0
+        return float(sums) if sums.ndim == 0 else sums
 
 
 @dataclass(frozen=True)
@@ -152,8 +157,10 @@ class SymmetryReport:
 
     order 0 encodes a diagonal rho, i.e. full (continuous) rotational
     symmetry of Q.  For order n >= 1 the residual is the worst
-    |Q(rho_r, phi + 2pi/n) - Q(rho_r, phi)| over the sampled points; for
-    order 0 the two angles of each pair are drawn independently.
+    |Q(rho_r, phi + 2pi/n) - Q(rho_r, phi)| over the sampled points,
+    evaluated as Q of rho' = D rho D^dag, D = diag(e^{-i nu 2pi/n}), against
+    Q of rho at the same points (equal up to roundoff); for order 0 the two
+    angles of each pair are drawn independently.
     """
 
     order: int
@@ -359,13 +366,22 @@ def _coherent_overlaps(rho_r: np.ndarray, phi: np.ndarray, dim: int) -> np.ndarr
     return c
 
 
-def husimi_values(rho: FieldDensityMatrix, rho_r, phi) -> np.ndarray:
+Fields = Union[FieldDensityMatrix, Sequence[FieldDensityMatrix]]
+
+
+def husimi_values(rho: Fields, rho_r, phi) -> np.ndarray:
     """Q = <alpha|rho|alpha>/pi at arbitrary polar points (vectorized).
 
+    ``rho`` is one FieldDensityMatrix, or a batch: a sequence of them of
+    one dimension.  A batch shares one coherent-overlap table, and its Q
+    gets a leading axis whose f-th entry is, bit for bit, the lone call on
+    rho[f].
+
     Radii must be finite and non-negative and angles finite, else
-    ValidationError.  So is a coherent-overlap table of more than
-    MAX_OVERLAPS entries (points times nu_max + 1), refused before it is
-    allocated.
+    ValidationError.  So is an empty batch or one of unequal dimensions,
+    and so are a coherent-overlap table of more than MAX_OVERLAPS entries
+    (points times nu_max + 1) and a batch of more than MAX_OVERLAPS Q
+    values, both refused before they are allocated.
     """
     rho_r = np.atleast_1d(np.asarray(rho_r, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -375,37 +391,58 @@ def husimi_values(rho: FieldDensityMatrix, rho_r, phi) -> np.ndarray:
         raise ValidationError("radius and angle must be finite")
     if np.any(rho_r < 0):
         raise ValidationError("radius must be non-negative")
-    if rho_r.size * len(rho.rho) > MAX_OVERLAPS:
+    lone = isinstance(rho, FieldDensityMatrix)
+    fields = [rho] if lone else list(rho)
+    if not fields:
+        raise ValidationError("need at least one field")
+    dims = sorted({len(f.rho) for f in fields})
+    if len(dims) > 1:
+        raise ValidationError(f"a batch needs fields of one dimension, got {dims}")
+    if rho_r.size * dims[0] > MAX_OVERLAPS:
         raise ValidationError(
-            f"{rho_r.size} points at nu_max = {rho.nu_max} need more than "
+            f"{rho_r.size} points at nu_max = {dims[0] - 1} need more than "
             f"{MAX_OVERLAPS} coherent-state overlaps"
         )
-    # Re <alpha|rho|alpha> only sees the Hermitian part of rho
-    r = 0.5 * (rho.rho + rho.rho.conj().T)
-    c = _coherent_overlaps(rho_r.ravel(), phi.ravel(), len(r))
-    # Q pi = sum_i rho_ii |c_i|^2 + 2 Re sum_{k>=1} sum_i rho_{i,i+k} conj(c_i) c_{i+k},
-    # one pass per diagonal k of rho and one row product per nonzero entry,
-    # so a two-sector state costs two passes.  The products stay elementwise:
-    # with a BLAS contraction (c.conj() @ rho) the %.17g formatting of the
-    # frames that follows ran about 35 % slower, which ate the whole gain;
-    # OpenBLAS worker threads are the suspect.
-    total = np.zeros(c.shape[1], dtype=complex)
+    if len(fields) * rho_r.size > MAX_OVERLAPS:
+        raise ValidationError(
+            f"{len(fields)} fields at {rho_r.size} points make more than "
+            f"{MAX_OVERLAPS} Q values"
+        )
+    c = _coherent_overlaps(rho_r.ravel(), phi.ravel(), dims[0])
+    q = np.empty((len(fields), c.shape[1]))
+    total = np.empty(c.shape[1], dtype=complex)
     term = np.empty_like(total)
-    for k in range(len(r)):
-        stripe = np.diagonal(r, k)
-        for i in np.flatnonzero(stripe):
-            np.conjugate(c[i], out=term)
-            term *= c[i + k]
-            term *= stripe[i] if k == 0 else 2.0 * stripe[i]
-            total += term
-    return (total.real / math.pi).reshape(rho_r.shape)
+    for field, out in zip(fields, q):
+        # Re <alpha|rho|alpha> only sees the Hermitian part of rho
+        r = 0.5 * (field.rho + field.rho.conj().T)
+        # Q pi = sum_i rho_ii |c_i|^2 + 2 Re sum_{k>=1} sum_i rho_{i,i+k} conj(c_i) c_{i+k},
+        # one pass per diagonal k of rho and one row product per nonzero
+        # entry, so a two-sector state costs two passes.  The products stay
+        # elementwise: with a BLAS contraction (c.conj() @ rho) the %.17g
+        # formatting of the frames that follows ran about 35 % slower, which
+        # ate the whole gain; OpenBLAS worker threads are the suspect.
+        total.fill(0.0)
+        for k in range(len(r)):
+            stripe = np.diagonal(r, k)
+            for i in np.flatnonzero(stripe):
+                np.conjugate(c[i], out=term)
+                term *= c[i + k]
+                term *= stripe[i] if k == 0 else 2.0 * stripe[i]
+                total += term
+        np.divide(total.real, math.pi, out=out)
+    return q.reshape(rho_r.shape if lone else (len(fields),) + rho_r.shape)
 
 
 def husimi(
-    rho: FieldDensityMatrix,
+    rho: Fields,
     grid: Optional[Tuple[Tuple[float, float, int], Tuple[float, float, int]]] = None,
 ) -> HusimiGrid:
-    """Evaluate Q on a rectangular (q, p) grid; default −6..6, 241 points."""
+    """Evaluate Q on a rectangular (q, p) grid; default −6..6, 241 points.
+
+    ``rho`` is one field or a batch, as for :func:`husimi_values`: a
+    batch's values are (F, n_p, n_q), from one set of points and one
+    overlap table.
+    """
     (qmin, qmax, n_q), (pmin, pmax, n_p) = grid if grid is not None else DEFAULT_GRID
     if n_q < 2 or n_p < 2:
         raise ValidationError("grid needs at least 2 points per axis")
@@ -477,10 +514,10 @@ def detect_cyclic_symmetry(
 
     The order is gcd{|nu - nu'| : |rho[nu, nu']| > tol}; every Husimi term
     carries e^{i phi (nu - nu')}, so Q is invariant under rotation by
-    2 pi / order exactly.  The residual is measured directly at exactly
-    paired angles (no grid rotation, no interpolation) on a fixed random
-    sample, so identical inputs give identical reports.  Raises
-    ValidationError for ``tol < 0``.
+    2 pi / order exactly.  The residual is measured directly on a fixed
+    random sample of points (no grid rotation, no interpolation), as Q of
+    rho against Q of rho rotated by 2 pi / order in one batch, so identical
+    inputs give identical reports.  Raises ValidationError for ``tol < 0``.
     """
     if not tol >= 0:
         raise ValidationError(f"need tol >= 0, got {tol}")
@@ -501,11 +538,15 @@ def detect_cyclic_symmetry(
     rad = rng.uniform(0.0, 6.0, _RESIDUAL_SAMPLES)
     ang = rng.uniform(0.0, 2.0 * math.pi, _RESIDUAL_SAMPLES)
     if order >= 1:
-        ang2 = ang + 2.0 * math.pi / order
+        # Q of D rho D^dag, D = diag(e^{-i nu 2pi/n}), is Q of rho turned by
+        # 2pi/n, so both halves share the points and one overlap table
+        d = np.exp(-1j * (2.0 * math.pi / order) * np.arange(len(r)))
+        turned = FieldDensityMatrix(rho=d[:, None] * r * d.conj()[None, :])
+        q1, q2 = husimi_values((rho, turned), rad, ang)
     else:
         ang2 = rng.uniform(0.0, 2.0 * math.pi, _RESIDUAL_SAMPLES)
-    q1 = husimi_values(rho, rad, ang)
-    q2 = husimi_values(rho, rad, ang2)
+        q1 = husimi_values(rho, rad, ang)
+        q2 = husimi_values(rho, rad, ang2)
     residual = float(np.max(np.abs(q1 - q2)))
     return SymmetryReport(
         order=order,

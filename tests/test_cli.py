@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 import cnlight
 from cnlight import cli, g17
 from cnlight.cli import _grid_bytes, _grid_template, _parse_grid, run_command
+from cnlight.dynamics import CONSTANT_SCHEDULE, integrate, make_superposition
 from cnlight.errors import ValidationError
+from cnlight.hilbert import AtomicConfig, Kind
 from cnlight.observables import FieldDensityMatrix, husimi, reduce_field
 
 SQRT2 = repr(math.sqrt(2.0))
 XI_REF = ["--config", "xi", "--mu12", "1", "--mu23", SQRT2]
+REF_CONFIG = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0))
 
 
 def reference_csv(values, grid):
@@ -495,6 +498,54 @@ def test_animate_writes_frames(tmp_path, monkeypatch, capsys):
         assert (out / name).read_text(encoding="utf-8") == reference_csv(
             expected, grid
         ), name
+
+
+@pytest.mark.parametrize("per_block", [1, 3, 5, 300])
+def test_animate_frames_do_not_depend_on_the_block_size(
+    per_block, tmp_path, monkeypatch, capsys
+):
+    # 5 frames of 21^2 points: blocks of one frame each, of 3 + 2, of all 5
+    calls = []
+    real_husimi = cli.husimi
+    monkeypatch.setattr(cli, "husimi",
+                        lambda fields, grid: calls.append(len(fields))
+                        or real_husimi(fields, grid))
+    monkeypatch.setattr(cli, "FRAME_BLOCK_VALUES", per_block * 21 * 21)
+    out = tmp_path / "frames"
+    code = run_command(
+        ["animate", *XI_REF, "--nu1", "1", "--nu2", "4", "--t-end", "0.4",
+         "--dt", "0.1", "--grid=-2:2:21", "--out", str(out)]
+    )
+    assert code == 0
+    assert calls == [min(per_block, 5 - k) for k in range(0, 5, per_block)]
+    traj = integrate(make_superposition(1, 4, math.pi / 4, 0.0, 1, REF_CONFIG),
+                     REF_CONFIG, CONSTANT_SCHEDULE, 0.4, n_snapshots=4)
+    grid = _parse_grid("-2:2:21")
+    for k, snapshot in enumerate(traj.snapshots):
+        expected = husimi(reduce_field(snapshot), grid).values
+        assert (out / f"husimi_{k:05d}.csv").read_text(encoding="utf-8") == (
+            reference_csv(expected, grid)
+        ), k
+
+
+@pytest.mark.parametrize("command", ["animate", "husimi"])
+def test_an_oversized_overlap_table_is_refused_before_any_work(
+    command, tmp_path, monkeypatch, capsys
+):
+    # 10^6 points at 100 photons would need 1.01e8 overlaps
+    calls = []
+    for name in ("integrate", "husimi", "_grid_template"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    out = tmp_path / "frames"
+    argv = [command, "--nu0", "100", "--grid=-1:1:1000", "--out", str(out)]
+    if command == "animate":
+        argv += ["--mu12", "1", "--mu23", "1", "--t-end", "0.1", "--dt", "0.1"]
+    assert run_command(argv) == 2
+    assert "coherent-state overlaps" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    # one photon fewer fits a grid of 2 x 10^5 points
+    assert 2 * 10**5 * 100 <= cli.MAX_OVERLAPS < 10**6 * 101
 
 
 @pytest.mark.parametrize(

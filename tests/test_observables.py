@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnlight import observables
@@ -509,6 +509,83 @@ class TestHusimiKernel:
         self.check(reduce_field(state), points)
 
 
+def drawn_rho(shape, dim, seed):
+    """A dense, two-stripe (a pure state on two photon numbers) or diagonal
+    rho on 0..dim - 1, dim >= 2."""
+    rng = np.random.default_rng(seed)
+    if shape == "diagonal":
+        rho = np.diag(rng.random(dim) + 0.01).astype(complex)
+    elif shape == "dense":
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = a @ a.conj().T
+    else:
+        vec = np.zeros(dim, dtype=complex)
+        vec[rng.choice(dim, 2, replace=False)] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rho = np.outer(vec, vec.conj())
+    return FieldDensityMatrix(rho=rho / np.trace(rho).real)
+
+
+class TestHusimiBatch:
+    """A batch of fields against lone calls, one field at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(2, 12),
+        shapes=st.lists(
+            st.sampled_from(["dense", "two-stripe", "diagonal"]), min_size=1, max_size=4
+        ),
+        seed=st.integers(0, 2**16),
+        points=polar_points,
+    )
+    def test_a_batch_equals_lone_calls(self, dim, shapes, seed, points):
+        fields = [drawn_rho(shape, dim, seed + k) for k, shape in enumerate(shapes)]
+        rad = np.array([0.0] + [r for r, _ in points])
+        ang = np.array([0.3] + [a for _, a in points])
+        got = husimi_values(fields, rad, ang)
+        assert got.shape == (len(fields), len(rad))
+        for q, field in zip(got, fields, strict=True):
+            assert np.array_equal(q, husimi_values(field, rad, ang))
+
+    def test_a_batch_of_one_equals_a_lone_call(self):
+        rho = reduce_field(make_superposition(1, 4, 0.6, 0.5, 1, REF))
+        grid = ((-3, 3, 31), (-2, 2, 17))
+        lone = husimi(rho, grid)
+        batch = husimi((rho,), grid)
+        assert lone.values.shape == (17, 31)
+        assert batch.values.shape == (1, 17, 31)
+        assert np.array_equal(batch.values[0], lone.values)
+
+    def test_normalization_is_per_frame(self):
+        fields = [fock_projector(0, 4), fock_projector(4, 4),
+                  pure_rho([1.0, 0.0, 0.0, 1.0, 0.0])]
+        grid = ((-2, 2, 21), (-2, 2, 21))
+        sums = husimi(fields, grid).normalization()
+        assert sums.shape == (3,)
+        lone = [husimi(f, grid).normalization() for f in fields]
+        assert all(isinstance(x, float) for x in lone)
+        assert sums.tolist() == lone
+        # the narrow window holds most of the vacuum and little of |4>
+        assert sums[0] > 0.8 > 0.2 > sums[1]
+
+    def test_batch_bounds(self, monkeypatch):
+        table = []
+        real = observables._coherent_overlaps
+        monkeypatch.setattr(observables, "_coherent_overlaps",
+                            lambda *a: table.append(a) or real(*a))
+        # 4 points of fields on 0..2: 12 overlaps, and 12 Q values for 3 fields
+        monkeypatch.setattr(observables, "MAX_OVERLAPS", 12)
+        rad, ang = np.linspace(0.0, 1.0, 4), np.zeros(4)
+        assert husimi_values([fock_projector(2, 2)] * 3, rad, ang).shape == (3, 4)
+        assert len(table) == 1
+        with pytest.raises(ValidationError, match="more than 12 Q values"):
+            husimi_values([fock_projector(2, 2)] * 4, rad, ang)
+        with pytest.raises(ValidationError, match="one dimension"):
+            husimi_values([fock_projector(2, 2), fock_projector(1, 1)], rad, ang)
+        with pytest.raises(ValidationError, match="at least one"):
+            husimi_values([], rad, ang)
+        assert len(table) == 1
+
+
 class TestHusimiTwoFock:
     def test_origin_value(self):
         # only the nu = 0 component survives at the origin
@@ -565,6 +642,22 @@ class TestHusimiTwoFock:
 
 # ---------------------------------------------------------------------------
 # symmetry certification
+
+
+def paired_angle_residual(rho, order):
+    """max_residual measured at paired angles, phi and phi + 2pi/order, or
+    at independent second angles for order 0, with one lone husimi_values
+    call per angle set: the certificate's residual before the rotated rho."""
+    rng = np.random.default_rng(observables._RESIDUAL_SEED)
+    rad = rng.uniform(0.0, 6.0, observables._RESIDUAL_SAMPLES)
+    ang = rng.uniform(0.0, 2.0 * math.pi, observables._RESIDUAL_SAMPLES)
+    if order >= 1:
+        ang2 = ang + 2.0 * math.pi / order
+    else:
+        ang2 = rng.uniform(0.0, 2.0 * math.pi, observables._RESIDUAL_SAMPLES)
+    q1 = husimi_values(rho, rad, ang)
+    q2 = husimi_values(rho, rad, ang2)
+    return float(np.max(np.abs(q1 - q2)))
 
 
 class TestDetectCyclicSymmetry:
@@ -638,6 +731,55 @@ class TestDetectCyclicSymmetry:
         assert report.support_differences == tuple(want)
         assert report.order == math.gcd(*want)
         assert report.tol == tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 5),
+        dim=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        leaks=st.integers(0, 4),
+    )
+    @example(n=3, dim=7, seed=1, leaks=3)
+    @example(n=0, dim=5, seed=2, leaks=2)
+    def test_rotated_rho_matches_the_paired_angles(self, n, dim, seed, leaks):
+        # a state of order n (a diagonal one for n = 0) with coherences of
+        # 1e-11, below the tolerance, anywhere off the diagonal: they leave
+        # the order as it is and make the residual nonzero
+        rng = np.random.default_rng(seed)
+        if n == 0:
+            r = np.diag(rng.random(dim) + 0.1).astype(complex)
+        else:
+            vec = np.zeros(dim, dtype=complex)
+            support = np.arange(rng.integers(min(n, dim)), dim, n)
+            vec[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+            r = np.outer(vec, vec.conj())
+        for _ in range(leaks):
+            i, j = rng.integers(dim, size=2)
+            if i != j:
+                leak = 1e-11 * np.exp(2j * math.pi * rng.random())
+                r[i, j] += leak
+                r[j, i] += leak.conjugate()
+        rho = FieldDensityMatrix(rho=r / np.trace(r).real)
+        report = detect_cyclic_symmetry(rho)
+        diffs = {
+            abs(i - j) for i in range(dim) for j in range(dim)
+            if i != j and abs(rho.rho[i, j]) > observables.COHERENCE_TOL
+        }
+        assert report.order == math.gcd(*diffs)
+        want = paired_angle_residual(rho, report.order)
+        if report.order == 0:
+            assert report.max_residual == want
+        else:
+            assert abs(report.max_residual - want) <= 1e-15
+
+    def test_off_support_coherence_shows_in_the_residual(self):
+        r = pure_rho([1.0, 0.0, 0.0, 1.0]).rho
+        r[0, 1] = r[1, 0] = 3e-11
+        rho = FieldDensityMatrix(rho=r)
+        report = detect_cyclic_symmetry(rho)
+        assert report.order == 3
+        assert 1e-12 < report.max_residual < 1e-10
+        assert abs(report.max_residual - paired_angle_residual(rho, 3)) <= 1e-15
 
     def test_negative_tolerance_is_refused(self):
         # a negative tolerance would count every zero coherence as support
