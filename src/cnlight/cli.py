@@ -39,8 +39,8 @@ from .dynamics import (
 from .errors import NumericalError, ValidationError
 from .hilbert import AtomicConfig, Kind, build_sector_basis
 from .observables import (
-    MAX_OVERLAPS,
     FieldDensityMatrix,
+    check_overlaps,
     detect_cyclic_symmetry,
     husimi,
     linear_entropies,
@@ -69,7 +69,8 @@ MAX_GRID_POINTS = 10**6
 MAX_PHOTONS = 100
 MAX_ATOMS = 20
 # Q values per husimi call of animate: 1 MB of float64, 8 frames of a 121^2
-# grid; a frame of more points is a block of its own
+# grid; a frame of more points is a block of its own.  The same count bounds
+# the block's reduced fields, (nu_max + 1)^2 complex entries a frame.
 FRAME_BLOCK_VALUES = 2**17
 
 
@@ -264,16 +265,10 @@ def _parse_grid(text: str) -> GridSpec:
 
 
 def _check_overlaps(grid: GridSpec, args: argparse.Namespace) -> None:
-    """Refuse a grid whose coherent-overlap table, points times (largest
-    photon number of the state flags + 1), would pass MAX_OVERLAPS, before
-    any integration or row template is built."""
-    points = grid[0][2] * grid[1][2]
-    nu_max = max(_photon_numbers(args))
-    if points * (nu_max + 1) > MAX_OVERLAPS:
-        raise ValidationError(
-            f"{points} grid points at nu_max = {nu_max} need more than "
-            f"{MAX_OVERLAPS} coherent-state overlaps"
-        )
+    """Refuse a grid whose coherent-overlap table, at the largest photon
+    number of the state flags, is over the library's cap (``check_overlaps``),
+    before any integration or row template is built."""
+    check_overlaps(grid[0][2] * grid[1][2], max(_photon_numbers(args)) + 1)
 
 
 def _grid_template(grid: GridSpec) -> bytearray:
@@ -570,7 +565,8 @@ def _cmd_animate(args) -> int:
     rows = _grid_template(grid)
     frames = range(0, len(traj.times), args.stride)
     # one husimi call, one set of points and one overlap table per block
-    per_block = max(1, FRAME_BLOCK_VALUES // (grid[0][2] * grid[1][2]))
+    per_frame = max(grid[0][2] * grid[1][2], (max(traj.sectors) + 1) ** 2)
+    per_block = max(1, FRAME_BLOCK_VALUES // per_frame)
     names: List[str] = []
     frame_times: List[float] = []
     for first in range(0, len(frames), per_block):

@@ -50,6 +50,7 @@ __all__ = [
     "husimi",
     "husimi_values",
     "husimi_two_fock",
+    "check_overlaps",
     "detect_cyclic_symmetry",
 ]
 
@@ -369,6 +370,16 @@ def _coherent_overlaps(rho_r: np.ndarray, phi: np.ndarray, dim: int) -> np.ndarr
 Fields = Union[FieldDensityMatrix, Sequence[FieldDensityMatrix]]
 
 
+def check_overlaps(points: int, dim: int) -> None:
+    """Refuse, with ValidationError, a coherent-overlap table of ``points``
+    times ``dim`` (nu_max + 1) entries that passes MAX_OVERLAPS."""
+    if points * dim > MAX_OVERLAPS:
+        raise ValidationError(
+            f"{points} points at nu_max = {dim - 1} need more than "
+            f"{MAX_OVERLAPS} coherent-state overlaps"
+        )
+
+
 def husimi_values(rho: Fields, rho_r, phi) -> np.ndarray:
     """Q = <alpha|rho|alpha>/pi at arbitrary polar points (vectorized).
 
@@ -398,11 +409,7 @@ def husimi_values(rho: Fields, rho_r, phi) -> np.ndarray:
     dims = sorted({len(f.rho) for f in fields})
     if len(dims) > 1:
         raise ValidationError(f"a batch needs fields of one dimension, got {dims}")
-    if rho_r.size * dims[0] > MAX_OVERLAPS:
-        raise ValidationError(
-            f"{rho_r.size} points at nu_max = {dims[0] - 1} need more than "
-            f"{MAX_OVERLAPS} coherent-state overlaps"
-        )
+    check_overlaps(rho_r.size, dims[0])
     if len(fields) * rho_r.size > MAX_OVERLAPS:
         raise ValidationError(
             f"{len(fields)} fields at {rho_r.size} points make more than "

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cnlight
-from cnlight import cli, g17
+from cnlight import cli, g17, observables
 from cnlight.cli import _grid_bytes, _grid_template, _parse_grid, run_command
 from cnlight.dynamics import CONSTANT_SCHEDULE, integrate, make_superposition
 from cnlight.errors import ValidationError
@@ -528,6 +528,32 @@ def test_animate_frames_do_not_depend_on_the_block_size(
         ), k
 
 
+def test_animate_blocks_are_bounded_by_their_fields(tmp_path, monkeypatch):
+    # a 2 x 2 grid at 100 photons: a block sized by its 4 points alone
+    # would hold all 301 rhos of 101^2 entries, 49 MB; sized by the rho
+    # entries too it holds 12 of them, 2 MB
+    calls = []
+    real_husimi = cli.husimi
+    monkeypatch.setattr(cli, "husimi",
+                        lambda fields, grid: calls.append(len(fields))
+                        or real_husimi(fields, grid))
+    out = tmp_path / "frames"
+    tracemalloc.start()
+    try:
+        code = run_command(
+            ["animate", *XI_REF, "--nu0", "100", "--t-end", "0.01",
+             "--dt", repr(0.01 / 300), "--grid=-1:1:2", "--out", str(out)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sum(calls) == 301 and max(calls) == cli.FRAME_BLOCK_VALUES // 101**2
+    assert peak < 20e6
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert len(manifest["outputs"]) == 301
+
+
 @pytest.mark.parametrize("command", ["animate", "husimi"])
 def test_an_oversized_overlap_table_is_refused_before_any_work(
     command, tmp_path, monkeypatch, capsys
@@ -545,7 +571,7 @@ def test_an_oversized_overlap_table_is_refused_before_any_work(
     assert calls == []
     assert not out.exists()
     # one photon fewer fits a grid of 2 x 10^5 points
-    assert 2 * 10**5 * 100 <= cli.MAX_OVERLAPS < 10**6 * 101
+    assert 2 * 10**5 * 100 <= observables.MAX_OVERLAPS < 10**6 * 101
 
 
 @pytest.mark.parametrize(
