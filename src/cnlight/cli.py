@@ -16,7 +16,7 @@ import re
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,12 +78,20 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the bytes of ``chunks`` to ``path`` through ``path.tmp`` and one
+    rename.  A failure, of the file system or of the code that makes the
+    chunks, leaves neither file; the file system's is a ValidationError."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as f:
+                f.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
@@ -109,25 +117,28 @@ def _write_manifest(
         "outputs": outputs,
         "duration_seconds": time.perf_counter() - started,
     }
-    _write_atomic(path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    _write_atomic(path, [(json.dumps(manifest, indent=2) + "\n").encode("utf-8")])
 
 
 def _emit(
     args: argparse.Namespace,
-    text: str,
+    data: Union[str, Iterable[bytes]],
     grid: Optional[GridSpec],
     started: float,
     **extra: object,
 ) -> None:
-    """Send a single data file to --out (with manifest) or stdout.
+    """Send a single data file to --out (with manifest) or stdout: ``data``
+    is its text, or its bytes in chunks, each written once it is made.
 
     ``extra`` entries join the command-line parameters in the manifest.
     """
+    chunks = [data.encode("utf-8")] if isinstance(data, str) else data
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
         return
     out = Path(args.out)
-    _write_atomic(out, text.encode("utf-8"))
+    _write_atomic(out, chunks)
     _write_manifest(out.with_name(out.stem + ".manifest.json"), args, grid,
                     [out.name], started, **extra)
 
@@ -400,15 +411,25 @@ def _cmd_evolve(args) -> int:
     started = time.perf_counter()
     traj = _trajectory(args, _t_end_from(args),
                        tol=args.tol, n_snapshots=args.snapshots)
+    _emit(args, _evolve_csv(traj), None, started)
+    return 0
+
+
+def _evolve_csv(traj: Trajectory) -> Iterator[bytes]:
+    """The CSV of ``traj``'s photon-number distribution and linear entropy
+    over time, one chunk per ``reduce_field_blocks`` block, so only one
+    block's text is held at a time.  The header rides with the first block:
+    a CSV of one block is one write, whole before a reader such as
+    ``head`` can close the pipe, even on unbuffered stdout."""
     nu_max = max(traj.sectors)
-    lines = ["time," + ",".join(f"p{n}" for n in range(nu_max + 1)) + ",entropy"]
+    lines = ["time," + ",".join(f"p{n}" for n in range(nu_max + 1)) + ",entropy\n"]
     for first, rhos in reduce_field_blocks(traj):
         probs = rhos.diagonal(axis1=1, axis2=2).real
         times = traj.times[first:first + len(rhos)]
-        for t, p, s_l in zip(times, probs, linear_entropies(rhos)):
-            lines.append(",".join(map(_fmt, [t, *p, s_l])))
-    _emit(args, "\n".join(lines) + "\n", None, started)
-    return 0
+        lines += (",".join(map(_fmt, [t, *p, s_l])) + "\n"
+                  for t, p, s_l in zip(times, probs, linear_entropies(rhos)))
+        yield "".join(lines).encode("ascii")
+        lines = []
 
 
 def _cmd_husimi(args) -> int:
@@ -417,8 +438,7 @@ def _cmd_husimi(args) -> int:
     _check_overlaps(grid, args)
     field = _field_from(args)
     hg = husimi(field, grid)
-    text = _grid_bytes(hg.values, _grid_template(grid)).decode("ascii")
-    _emit(args, text, grid, started)
+    _emit(args, [_grid_bytes(hg.values, _grid_template(grid))], grid, started)
     return 0
 
 
@@ -574,7 +594,7 @@ def _cmd_animate(args) -> int:
         hg = husimi([reduce_field(traj.state(i)) for i in block], grid)
         for i, values in zip(block, hg.values):
             names.append(f"husimi_{len(names):05d}.csv")
-            _write_atomic(out_dir / names[-1], _grid_bytes(values, rows))
+            _write_atomic(out_dir / names[-1], [_grid_bytes(values, rows)])
             frame_times.append(float(traj.times[i]))
     _write_manifest(out_dir / "manifest.json", args, grid, names, started,
                     frame_times=frame_times)

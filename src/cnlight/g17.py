@@ -34,15 +34,15 @@ A value that fails any condition goes through CPython's own
 values outside the fast range, near-ties and exact ties, and a
 floor(log10) off by one.
 
-Each row is six little-endian uint64 words.  Byte 0 holds the sign,
-bytes 1-5 the ``0.`` and zeros of fixed notation for -4 <= X < 0, byte
-6 + 2j the digit d_j and byte 7 + 2j the decimal point if it follows d_j,
-bytes 40-46 the exponent ``e-XX`` or ``e-XXX`` of X < -4 (``%g`` switches
-to it below -4, and X < 17 on the fast path) and byte 47 the newline.
-Trailing zeros of the fraction, and a point with nothing after it, stay
-NUL.  The digit words come from a table of four-digit groups; the masks
-and points come from a table indexed by the number of integer digits
-and the number of kept digits, both set by X and the trailing zeros.
+Each row is four little-endian uint64 words.  Byte 0 holds the sign,
+bytes 1-5 the ``0.`` and zeros of fixed notation for -4 <= X < 0, byte 6
+the digit d0, byte 7 the point after d0 for X = 0 and X < -4, bytes 8-23
+d1 ... d16 from a table of four-digit groups, bytes 24-30 the exponent
+``e-XX`` or ``e-XXX`` of X < -4 (``%g`` switches to it below -4, and
+X < 17 on the fast path) and byte 31 the newline.  Words 0 and 3 come
+from tables indexed by X; one table indexed by their count masks trailing
+zeros, and a point with nothing after it.  The rare rows with X >= 1 put
+their point after d_X, the bytes past it moved up one byte, into byte 24.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 __all__ = ["WIDTH", "MARGIN", "fill"]
 
-WIDTH = 48  # bytes per row: six words
+WIDTH = 32  # bytes per row: four words
 MARGIN = 1e-9  # least distance of the fraction of h from 0 and 1
 
 _X_MIN, _X_MAX = -250, 16  # decimal exponents of the fast path
@@ -81,48 +81,38 @@ def _powers():
 _PH, _PH_HI, _PH_LO, _PL = _powers()
 
 
-def _digit_words():
-    """The word of g = 0..9999, its four digits at the even bytes, and the
+def _groups():
+    """The word of g = 0..9999, its four ASCII digits from byte 0, and the
     trailing zeros of g written with four digits."""
     pair = np.arange(100)
-    slots = np.zeros((100, 4), np.uint8)
-    slots[:, 0] = 48 + pair // 10
-    slots[:, 2] = 48 + pair % 10
-    two = slots.view("<u4")[:, 0].astype(np.uint64)
-    zeros = (pair % 10 == 0).astype(np.uint8) + (pair == 0)
-    words = two[:, None] | two << np.uint64(32)
+    two = ((48 + pair // 10) | (48 + pair % 10) << 8).astype(np.uint64)
+    zeros = (pair % 10 == 0) + (pair == 0).astype(np.uint8)
     trailing = zeros + (pair == 0) * zeros[:, None]
-    return words.ravel(), trailing.astype(np.uint8).ravel()
+    return (two[:, None] | two << np.uint64(16)).ravel(), trailing.ravel()
 
 
-_QUAD, _TRAILING = _digit_words()
+_QUAD, _TRAILING = _groups()
 
 
-def _layouts():
-    """Masks and points of words 0-4 by column m * 18 + kept, m the integer
-    digits (0 for 0.ddd, 1 for d.ddde-XX), kept = max(m, significant
-    digits); and the column of each (X - _X_MIN) * 17 + trailing zeros."""
-    m = np.arange(18)[:, None, None]
-    kept = np.arange(18)[:, None]
-    digit = np.arange(20) - 3  # the digit in each two-byte slot
-    rows = np.zeros((2, 18, 18, 20, 2), np.uint8)
-    rows[0, ..., 0] = 255 * ((digit >= 0) & (digit < kept))
-    rows[1, ..., 1] = 46 * ((digit == m - 1) & (kept > m) & (m > 0))
-    masks, points = rows.reshape(2, 18 * 18, 40).view(_WORD).transpose(0, 2, 1)
-    x = np.arange(_X_MIN, _X_MAX + 1)[:, None]
-    m = np.where(x < -4, 1, np.maximum(x + 1, 0))
-    column = m * 18 + np.maximum(m, 17 - np.arange(17))
-    return masks.copy(), points.copy(), column.ravel()
+def _masks():
+    """Words 0-2 by the trailing zeros z = 0..16: d1 ... d(16 - z) and word 0,
+    its point only if a digit follows; and by X = 1..16 (row X - 1), the
+    bytes of d1 ... d_X that stay and the point that follows them."""
+    byte, z, x = np.arange(24), np.arange(17)[:, None], np.arange(9, 25)[:, None]
+    keep = (byte < 7) | (byte == 7) & (z < 16) | (byte > 7) & (byte < 24 - z)
+    tables = 255 * keep, 255 * (byte < x), 46 * (byte == x)
+    return [t.astype(np.uint8).view(_WORD).T.copy() for t in tables]
 
 
-_MASKS, _POINTS, _COLUMN = _layouts()
+_MASKS, _STAY, _POINT = _masks()
 
 
 def _affixes():
-    """Words 0 and 5 by X - _X_MIN: the "0." and zeros of -4 <= X < 0; the
-    exponent of X < -4, and the newline."""
+    """Words 0 and 3 by X - _X_MIN: the "0." and zeros of -4 <= X < 0 or
+    the point of X = 0 and X < -4; the exponent of X < -4, and the newline."""
     rows = b"".join(
-        (b"\0" + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")).ljust(8, b"\0")
+        (b"\0" + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")).ljust(7, b"\0")
+        + (b"." if x == 0 or x < -4 else b"\0")
         + (b"e%+03d" % x if x < -4 else b"").ljust(7, b"\0") + b"\n"
         for x in range(_X_MIN, _X_MAX + 1)
     )
@@ -141,32 +131,42 @@ def fill(values: np.ndarray, words: np.ndarray) -> None:
     v = np.asarray(values, dtype=np.float64)
     i, n, fast = _digits(v)
 
-    # n = lead 10^16 + four groups of four digits
-    hi = n // 10**8
-    n -= hi * 10**8
-    lead = hi // 10**8
-    hi -= lead * 10**8
+    # n = d0 10^16 + four groups of four digits
     groups = []
-    for half in (hi, n):
-        top = half // 10**4
-        half -= top * 10**4
-        groups += [top, half]
-    column = np.take(_COLUMN, i * 17 + _trailing_zeros(groups))
+    for unit in (10**16, 10**12, 10**8, 10**4):
+        groups.append(n // unit)
+        n -= groups[-1] * unit
+    lead, *groups = groups + [n]
+    zeros = _trailing_zeros(groups)
+    up = np.flatnonzero(i > -_X_MIN)  # X >= 1: the point follows d_X
+    x = i[up] + _X_MIN
+    zeros[up] = np.minimum(zeros[up], 16 - x)  # d1 ... d_X stay
 
-    lead += 48
-    lead <<= 48
-    digits = [lead.view(np.uint64)] + [np.take(_QUAD, g) for g in groups]
-    for k, word in enumerate(digits):
-        word &= np.take(_MASKS[k], column)
-        word |= np.take(_POINTS[k], column)
+    word = np.take(_PREFIX, i)
+    word |= (lead + 48 << 48).view(np.uint64)
+    word |= (v < 0) * np.uint64(45)
+    word &= np.take(_MASKS[0], zeros)
+    words[:, 0] = word
+    for k in (1, 2):
+        word = np.take(_QUAD, groups[2 * k - 1])
+        word <<= 32
+        word |= np.take(_QUAD, groups[2 * k - 2])
+        word &= np.take(_MASKS[k], zeros)
         words[:, k] = word
-    words[:, 0] |= np.take(_PREFIX, i) | (v < 0) * np.uint64(45)
-    words[:, 5] = np.take(_SUFFIX, i)
+    words[:, 3] = np.take(_SUFFIX, i)
+
+    if up.size:  # d(X+1) ... d16 move up one byte, into byte 24 at most
+        lo, hi = words[up, 1], words[up, 2]
+        stay_lo, stay_hi = _STAY[1:, x - 1]
+        move_lo, move_hi = lo & ~stay_lo, hi & ~stay_hi
+        point_lo, point_hi = _POINT[1:, x - 1] * (zeros[up] < 16 - x)
+        words[up, 1] = lo & stay_lo | move_lo << 8 | point_lo
+        words[up, 2] = hi & stay_hi | move_hi << 8 | move_lo >> 56 | point_hi
+        words[up, 3] |= move_hi >> 56
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = ["%.17g\n" % y for y in v[slow].tolist()]
-        text = np.array(text, dtype=f"S{WIDTH}")
+        text = np.array(["%.17g\n" % y for y in v[slow].tolist()], f"S{WIDTH}")
         words[slow] = text.view(_WORD).reshape(slow.size, -1)
 
 

@@ -1,7 +1,10 @@
 """End-to-end command-line checks driving run_command directly."""
 
+import dataclasses
+import io
 import json
 import math
+import random
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -278,6 +281,70 @@ def test_evolve_reduces_in_bounded_blocks(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 2001
     assert rows[-1].startswith("0.01,")
+
+
+def test_evolve_streams_its_csv_a_block_at_a_time(tmp_path, monkeypatch):
+    # the rows of a short trajectory repeated: nu_max = 60 makes blocks of
+    # 281 rows, so both runs reach their peak of two blocks at once, and
+    # the 3000 more rows of the second make 0.7 MB more CSV
+    short = integrate(make_superposition(0, 60, math.pi / 4, 0.0, 1, REF_CONFIG),
+                      REF_CONFIG, CONSTANT_SCHEDULE, 1.0, n_snapshots=7)
+    out = tmp_path / "evolve.csv"
+    peaks, sizes = [], []
+    for rows in (1000, 4000):
+        traj = dataclasses.replace(
+            short, times=np.linspace(0.0, 1.0, rows),
+            amplitudes=np.resize(short.amplitudes, (rows, short.amplitudes.shape[1])),
+        )
+        monkeypatch.setattr(cli, "_trajectory", lambda *args, **kw: traj)
+        tracemalloc.start()
+        try:
+            code = run_command(["evolve", *XI_REF, "--nu1", "0", "--nu2", "60",
+                                "--t-end", "1", "--out", str(out)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        sizes.append(out.stat().st_size)
+    # the whole text held at once would add more than the CSV's own growth
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4, (peaks, sizes)
+
+
+def test_evolve_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch, capsys):
+    real = cli.reduce_field_blocks
+
+    def failing(traj):
+        blocks = real(traj)
+        yield next(blocks)
+        raise ValidationError("bad rho in row 1")
+
+    monkeypatch.setattr(cli, "reduce_field_blocks", failing)
+    out = tmp_path / "evolve.csv"
+    argv = ["evolve", *XI_REF, "--nu0", "2", "--t-end", "0.2", "--out", str(out)]
+    assert run_command(argv) == 2
+    assert "bad rho in row 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_writes_a_one_block_csv_in_one_piece(monkeypatch):
+    # on unbuffered stdout (python -u) each chunk is a write of its own, and
+    # `evolve | head -1` could close the pipe between header and rows
+    writes = []
+
+    class Raw(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, b):
+            writes.append(bytes(b))
+            return len(b)
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Raw(), encoding="ascii"))
+    argv = ["evolve", *XI_REF, "--nu0", "2", "--t-end", "0.2", "--snapshots", "2"]
+    assert run_command(argv) == 0
+    assert len(writes) == 1
+    assert writes[0].decode("ascii").splitlines()[0] == "time,p0,p1,p2,entropy"
+    assert len(writes[0].splitlines()) == 4
 
 
 def test_table1_single_row(capsys):
@@ -748,3 +815,34 @@ def test_g17_fast_path_takes_nearly_every_value_with_the_digits_of_percent_e():
     for x, k, n in zip(*(u[fast].tolist() for u in (v, exponent, digits))):
         mantissa, power = ("%.16e" % abs(x)).split("e")
         assert (n, k + g17._X_MIN) == (int(mantissa.replace(".", "")), int(power))
+
+
+def test_g17_lays_out_every_exponent_kept_digit_count_and_sign():
+    # x is the double of a decimal string of `kept` digits, the last not 0,
+    # at exponent X, whose "%.17g" gives back exactly that decimal: its
+    # trailing zeros are 17 - kept, so every row of the mask table meets
+    # every X, the point of X = 0 and of X >= 1 included
+    rng = random.Random(18)
+    found = {}
+    for exponent in range(g17._X_MIN, g17._X_MAX + 1):
+        for kept in range(1, 18):
+            low = 10 ** (kept - 1)
+            # every decimal of one or two digits, 100 drawn of more
+            draws = (range(low, 10 * low) if kept <= 2 else
+                     (rng.randrange(low, 10 * low) for _ in range(100)))
+            for digits in draws:
+                text = f"{digits}e{exponent - kept + 1}"
+                x = float(text)
+                if (digits % 10 and Decimal("%.17g" % x) == Decimal(text)
+                        and g17._digits(np.array([x]))[2][0]):
+                    found[exponent, kept] = x
+                    break
+    # d 10^X is the 17-digit rounding of a double at only 173 of the 267 X,
+    # and no two-digit decimal at X = -30 is; no value can ask for the rest
+    assert [sum(kept == k for _, kept in found) for k in (1, 2)] == [173, 266]
+    assert all((exponent, kept) in found
+               for exponent in range(g17._X_MIN, g17._X_MAX + 1)
+               for kept in range(3, 18))
+    xs = list(found.values())
+    xs += [-x for x in xs]
+    assert g17_lines(xs) == percent_g_lines(xs)
