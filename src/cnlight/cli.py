@@ -1,6 +1,7 @@
 """Command-line interface: deterministic CSV/JSON export of everything.
 
-Exit codes: 0 success, 2 bad input (validation), 3 numerical failure.
+Exit codes: 0 success, 2 bad input (validation), 3 numerical failure,
+141 stdout closed by its reader before the output ended (``| head``).
 Data files carry no timestamps; a manifest JSON sits next to every output
 set so a run can be replayed byte-for-byte.
 """
@@ -616,7 +617,9 @@ def _cmd_animate(args) -> int:
 
 TOL_HELP = (
     "local error tolerance of the DP45 integrator; it bounds the steps and "
-    "the snapshots read off inside them (default: %(default)s)"
+    "the snapshots read off inside them. A bump with --t-tof >= 2 runs DP45 "
+    "on its two unit ramps only: its plateau and the time after its exit "
+    "are exact (default: %(default)s)"
 )
 
 
@@ -716,8 +719,20 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+# the status a shell reports for a writer killed by SIGPIPE (128 + 13)
+EXIT_BROKEN_PIPE = 141
+
+
 def main() -> None:
-    sys.exit(run_command())
+    try:
+        code = run_command()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``cnlight evolve ... | head -1``): stdout goes to
+        # devnull, so that the interpreter's last flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,12 @@ alone; a snapshot time inside a step is read off the step's continuous
 extension.
 
 Sectors never mix: the total excitation number commutes with the
-Hamiltonian.  A multi-sector state therefore integrates as one block-
+Hamiltonian.  A multi-sector state therefore propagates as one block-
 diagonal system, the sectors' energies stacked and H_int holding one block
-per sector and exact zeros elsewhere, in a single DP45 run.
+per sector and exact zeros elsewhere.  :func:`integrate` runs DP45 over a
+whole pass under constant coupling or a bump with t_tof < 2; a bump with
+t_tof >= 2 takes one DP45 run per unit ramp, and its plateau and the time
+after its exit are exact.
 
 Searches evaluate many states of one initial state; :class:`SectorPropagator`
 serves them in closed form for resonant sectors, by two precomputed ramp
@@ -58,7 +61,7 @@ DEFAULT_TOL = 1e-11
 SEARCH_TOL = 1e-9      # integration tolerance of search probes off the exact paths
 MIN_STEP = 1e-12
 MAX_SNAPSHOTS = 10**6   # snapshot intervals of one integration
-_ROW_BLOCK = 2**16      # amplitudes per block of integrate's frame rotation
+_ROW_BLOCK = 2**16      # amplitudes per block of integrate's row arithmetic
 GAUSS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the envelope
 
 
@@ -485,11 +488,6 @@ class Trajectory:
             raise KeyError(f"no snapshot at t={t}")
         return self.state(i)
 
-    @functools.cached_property
-    def snapshots(self) -> Tuple[SystemState, ...]:
-        """Every state of the trajectory, in time order."""
-        return tuple(self.state(k) for k in range(len(self.times)))
-
 
 def sector_layout(
     sectors: Mapping[int, Tuple[SectorBasis, np.ndarray]]
@@ -563,15 +561,20 @@ def integrate(
 ) -> Trajectory:
     """Propagate a (multi-sector) state from tau = 0 to ``t_end``.
 
-    All sectors integrate in one run of the block-diagonal system, each in
+    All sectors propagate together as one block-diagonal system, each in
     the frame rotating at its energy E0; the returned trajectory holds the
     physical (Schrodinger-picture) amplitudes psi = exp(-i E0 t) phi, one
     row per snapshot, on a uniform grid of ``n_snapshots`` intervals
-    merged with any explicitly requested ``snapshot_times``.  Snapshots inside a step come from the
-    step's continuous extension, so ``tol`` bounds them as it bounds the
-    steps.  A ``tol`` below machine epsilon is refused: its error
-    estimates would be roundoff.  So is a grid of more than MAX_SNAPSHOTS
-    intervals.
+    merged with any explicitly requested ``snapshot_times``.
+
+    A bump with t_tof >= 2 is propagated in pieces (:func:`_bump_pass`):
+    one DP45 run over each unit ramp, the plateau between them and the
+    time after the exit exactly.  Constant coupling and a bump with
+    t_tof < 2, whose ramps overlap, take one DP45 run from 0 to ``t_end``.
+    Snapshots inside a DP45 step come from the step's continuous
+    extension, so ``tol`` bounds them as it bounds the steps.  A ``tol``
+    below machine epsilon is refused: its error estimates would be
+    roundoff.  So is a grid of more than MAX_SNAPSHOTS intervals.
     """
     if not 0 < t_end < math.inf:
         raise ValidationError(f"need a finite t_end > 0, got {t_end}")
@@ -599,9 +602,14 @@ def integrate(
     layout, e, e0, h_base = _block_system(initial.sectors, config)
     y0 = np.concatenate([initial.sectors[m][1] for m in layout])
     rhs = _frame_rhs(e - e0, h_base, schedule.envelope)
-    samples, stats = integrate_ode(rhs, y0, 0.0, t_end, tol, grid)
-    ts = np.array([t for t, _ in samples])
-    rows = np.array([y for _, y in samples])
+    if schedule.mode == "bump" and schedule.t_tof >= 2.0:
+        ts, rows, stats = _bump_pass(
+            rhs, y0, layout, e - e0, h_base, schedule.t_tof, t_end, tol, grid
+        )
+    else:
+        samples, stats = integrate_ode(rhs, y0, 0.0, t_end, tol, grid)
+        ts = np.array([t for t, _ in samples])
+        rows = np.array([y for _, y in samples])
     norms0 = {m: np.linalg.norm(initial.sectors[m][1]) for m in layout}
     # the norm drift, then back to physical amplitudes in place, a bounded
     # block of rows at a time: no second (T, N) array
@@ -615,6 +623,95 @@ def integrate(
         phase = np.exp((-1j * e0)[None, :] * ts[first:first + step, None])
         np.multiply(phase, block, out=block)
     return Trajectory(times=grid, amplitudes=rows, sectors=layout, stats=stats)
+
+
+def _bump_pass(
+    rhs: Callable[[float, np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    layout: Mapping[int, Tuple[SectorBasis, slice]],
+    delta: np.ndarray,
+    h_base: np.ndarray,
+    t_tof: float,
+    t_end: float,
+    tol: float,
+    grid: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, IntegratorStats]:
+    """Rotating-frame rows at ``grid`` of a bump pass with t_tof >= 2, and
+    the time of each row.
+
+    The envelope is exactly 1 on the plateau [1, t_tof - 1], so there
+
+        phi(t) = W exp(-i lam (t - 1)) W^dag phi(1)
+
+    per sector, with Delta + H_int = W diag(lam) W^dag
+    (:func:`_plateau_eigensystems`), and past the exit
+    phi(t) = exp(-i Delta (t - t_tof)) phi(t_tof).  Only the entry ramp
+    [0, 1] and the exit ramp [t_tof - 1, t_tof] take a DP45 run at
+    ``tol``, the second started from the exact plateau state.  No piece
+    reaches past ``t_end``.  The exact rows are written in place, a
+    bounded block at a time.
+    """
+    if not np.all((grid >= -1e-15) & (grid <= t_end + 1e-15)):
+        raise ValidationError("snapshot times must lie inside the span")
+    ts = grid.copy()
+    rows = np.empty((len(grid), len(y0)), dtype=complex)
+    stats = IntegratorStats()
+
+    def ramp(phi, t0, t1, lo, hi):
+        # one DP45 run from phi at t0 over grid[lo:hi]; the state at t1
+        samples, run = integrate_ode(
+            rhs, phi, t0, t1, tol, np.append(grid[lo:hi], t1)
+        )
+        stats.steps += run.steps
+        stats.rejected += run.rejected
+        for k, (t, y) in enumerate(samples[:-1], lo):
+            ts[k] = t
+            rows[k] = y
+        return samples[-1][1]
+
+    entry = int(np.searchsorted(grid, 1.0, side="right"))
+    phi = ramp(y0, 0.0, min(1.0, t_end), 0, entry)
+    if t_end <= 1.0:
+        return ts, rows, stats
+
+    step = max(1, _ROW_BLOCK // len(y0))
+    exit_ = max(entry, int(np.searchsorted(grid, t_tof - 1.0, side="left")))
+    plateau_end = np.empty_like(phi)
+    for m, (lam, w) in _plateau_eigensystems(layout, delta, h_base).items():
+        sl = layout[m][1]
+        c = w.conj().T @ phi[sl]
+        for first in range(entry, exit_, step):
+            tau = grid[first:min(first + step, exit_)] - 1.0
+            np.matmul(np.exp(-1j * np.outer(tau, lam)) * c, w.T,
+                      out=rows[first:first + tau.size, sl])
+        plateau_end[sl] = w @ (np.exp(-1j * (t_tof - 2.0) * lam) * c)
+    if t_end < t_tof - 1.0:
+        return ts, rows, stats
+
+    past = int(np.searchsorted(grid, t_tof, side="right"))
+    phi = ramp(plateau_end, t_tof - 1.0, min(t_tof, t_end), exit_, past)
+    for first in range(past, len(grid), step):
+        dt = grid[first:first + step] - t_tof
+        np.multiply(np.exp(-1j * np.outer(dt, delta)), phi,
+                    out=rows[first:first + dt.size])
+    return ts, rows, stats
+
+
+def _plateau_eigensystems(
+    layout: Mapping[int, Tuple[SectorBasis, slice]],
+    e: np.ndarray,
+    h_base: np.ndarray,
+) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """Label -> (lam, W) with diag(e) + H_int = W diag(lam) W^dag on the
+    sector's block: the Hamiltonian of a bump's plateau, where f = 1.
+
+    ``e`` holds bare energies, or their offsets from the frame energies E0
+    for the rotating frame, which shift each sector's lam by its E0.
+    """
+    return {
+        m: np.linalg.eigh(np.diag(e[sl]) + h_base[sl, sl])
+        for m, (_, sl) in layout.items()
+    }
 
 
 # ------------------------------------------------------------------
@@ -690,10 +787,13 @@ class SectorPropagator:
       t_tof, and as the Hamiltonian is real symmetric U_exit = U_entry^T.
       The entry ramps of all sectors are integrated in one DP45 run (at
       DEFAULT_TOL, every basis state of the block-diagonal system at
-      once) at most once, on the first such request.
+      once) at most once, on the first such request.  The plateau
+      eigensystem is :func:`_plateau_eigensystems`, as in
+      :func:`integrate`.
     * **Anything else** (detuned partial passes, constant coupling, bumps
       with t_tof < 2, whose ramps overlap): one :func:`integrate` call at
-      SEARCH_TOL with the requested times as snapshot times.
+      SEARCH_TOL with the requested times as snapshot times; on a bump
+      with t_tof >= 2 it runs DP45 on the ramps only.
     """
 
     def __init__(self, initial: SystemState, config: AtomicConfig):
@@ -748,10 +848,11 @@ class SectorPropagator:
             )
             u_block = np.exp(-1j * e0)[:, None] * phi
             self._flight = {}
+            plateau = _plateau_eigensystems(self._sectors, e, h)
             for m, (basis, sl) in self._sectors.items():
                 amps = self._initial.sectors[m][1]
                 u_entry = u_block[sl, sl]
-                lam, w = np.linalg.eigh(np.diag(e[sl]) + h[sl, sl])
+                lam, w = plateau[m]
                 # U_exit W, and the plateau coefficients W^dag U_entry psi(0)
                 self._flight[m] = (
                     basis, lam, u_entry.T @ w, w.conj().T @ (u_entry @ amps)

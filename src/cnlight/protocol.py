@@ -298,11 +298,13 @@ def first_passage(
     the ramp area 1/2 for the bump envelope) followed by golden-section
     refinement, each evaluated by one :class:`SectorPropagator`: in closed
     form on a resonant configuration, otherwise by one integration for the
-    whole grid and one per refinement probe.  The reported pass is always
-    integrated.  ``components`` ({nu0 - 2: c, nu0: c'}), when given,
-    replace the read-off of the exit amplitudes: the report hands on and
-    certifies that field instead.  Raises MinimumNotFoundError when the
-    minimum never drops below EXIT_THRESHOLD.
+    whole grid and one per refinement probe.  The reported pass always
+    goes through :func:`integrate` (under a bump with t_tof >= 2: DP45 on
+    the entry ramp, the plateau exact).  ``components``
+    ({nu0 - 2: c, nu0: c'}), when given, replace the read-off of the exit
+    amplitudes: the report hands on and certifies that field instead.
+    Raises MinimumNotFoundError when the minimum never drops below
+    EXIT_THRESHOLD.
     """
     if config.kind is not Kind.XI:
         raise ValidationError("the first passage needs a ladder configuration")

@@ -92,7 +92,7 @@ def test_criterion_1_ode_matches_closed_form():
             state = SystemState(sectors={m: (basis, y0)})
             traj = integrate(state, cfg, CONSTANT_SCHEDULE, tau,
                              tol=1e-10, n_snapshots=1)
-            _, got = traj.snapshots[-1].sectors[m]
+            _, got = traj.state(-1).sectors[m]
             want = propagator(cfg, m, tau).u @ y0
             worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - started
@@ -186,7 +186,7 @@ def test_criterion_5_cyclic_order_is_conserved():
     traj = integrate(state, REF, CONSTANT_SCHEDULE, 10.0, n_snapshots=19)
     worst = 0.0
     orders = set()
-    for snap in traj.snapshots:
+    for snap in map(traj.state, range(len(traj.times))):
         rep = detect_cyclic_symmetry(reduce_field(snap))
         orders.add(rep.order)
         worst = max(worst, rep.max_residual)
@@ -255,7 +255,7 @@ def test_criterion_7_long_time_stability():
     labels = set(state.sectors)
     traj2 = integrate(state, REF, CouplingSchedule(mode="bump", t_tof=6.0), 6.0)
     outside = 0.0
-    for snap in traj2.snapshots:
+    for snap in map(traj2.state, range(len(traj2.times))):
         assert set(snap.sectors) == labels  # sector labels are immutable
         probs = np.real(np.diag(reduce_field(snap).rho))
         outside = max(outside, float(np.sum(probs[2:5])))

@@ -4,11 +4,14 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,7 +563,8 @@ def test_animate_writes_frames(tmp_path, monkeypatch, capsys):
 
     (traj,) = trajectories
     grid = _parse_grid("-2:2:21")
-    for name, snapshot in zip(frames, traj.snapshots, strict=True):
+    states = map(traj.state, range(len(traj.times)))
+    for name, snapshot in zip(frames, states, strict=True):
         expected = husimi(reduce_field(snapshot), grid).values
         assert (out / name).read_text(encoding="utf-8") == reference_csv(
             expected, grid
@@ -588,7 +592,7 @@ def test_animate_frames_do_not_depend_on_the_block_size(
     traj = integrate(make_superposition(1, 4, math.pi / 4, 0.0, 1, REF_CONFIG),
                      REF_CONFIG, CONSTANT_SCHEDULE, 0.4, n_snapshots=4)
     grid = _parse_grid("-2:2:21")
-    for k, snapshot in enumerate(traj.snapshots):
+    for k, snapshot in enumerate(map(traj.state, range(len(traj.times)))):
         expected = husimi(reduce_field(snapshot), grid).values
         assert (out / f"husimi_{k:05d}.csv").read_text(encoding="utf-8") == (
             reference_csv(expected, grid)
@@ -846,3 +850,22 @@ def test_g17_lays_out_every_exponent_kept_digit_count_and_sign():
     xs = list(found.values())
     xs += [-x for x in xs]
     assert g17_lines(xs) == percent_g_lines(xs)
+
+
+def test_a_reader_that_leaves_early_ends_the_run_quietly():
+    # cnlight evolve ... | head -1: the console script's entry point exits
+    # with EXIT_BROKEN_PIPE and writes nothing to stderr
+    src = str(Path(cnlight.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["evolve", "--mu12", "1", "--mu23", "1", "--nu0", "2",
+            "--t-end", "2", "--snapshots", "200000"]
+    with subprocess.Popen(
+        [sys.executable, "-c", "from cnlight.cli import main; main()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    ) as proc:
+        assert proc.stdout.readline() == b"time,p0,p1,p2,entropy\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    assert err == b""

@@ -567,7 +567,8 @@ class TestIntegrate:
             ground_product_state(REF, 3), REF, CONSTANT_SCHEDULE, t_end,
             n_snapshots=8,
         )
-        for t, state in zip(traj.times, traj.snapshots):
+        for k, t in enumerate(traj.times):
+            state = traj.state(k)
             if t == 0.0:
                 continue
             _, amps = state.sectors[3]
@@ -579,7 +580,7 @@ class TestIntegrate:
         sched = CouplingSchedule(mode="bump", t_tof=5.0)
         traj = integrate(state, REF, sched, 5.0, n_snapshots=40)
         assert traj.stats.max_norm_drift < 1e-9
-        final = traj.snapshots[-1]
+        final = traj.state(-1)
         assert final.norm() == pytest.approx(1.0, abs=1e-9)
         assert sorted(final.sectors) == [1, 3]
 
@@ -588,7 +589,7 @@ class TestIntegrate:
         before = state.sector_norms()
         sched = CouplingSchedule(mode="bump", t_tof=4.0)
         traj = integrate(state, REF, sched, 4.0, n_snapshots=20)
-        after = traj.snapshots[-1].sector_norms()
+        after = traj.state(-1).sector_norms()
         for m in before:
             assert after[m] == pytest.approx(before[m], abs=1e-9)
 
@@ -626,8 +627,10 @@ class TestIntegrate:
         with pytest.raises(ValidationError):
             integrate(state, REF, CONSTANT_SCHEDULE, 1.0, **kwargs)
 
+    # the single-run regime: constant coupling, and a bump whose ramps
+    # overlap (t_tof < 2), here run on past its exit
     @pytest.mark.parametrize(
-        "schedule", [CONSTANT_SCHEDULE, CouplingSchedule(mode="bump", t_tof=3.5)],
+        "schedule", [CONSTANT_SCHEDULE, CouplingSchedule(mode="bump", t_tof=1.75)],
         ids=["constant", "bump"],
     )
     @pytest.mark.parametrize("kind", list(Kind))
@@ -641,7 +644,7 @@ class TestIntegrate:
         one = SystemState(sectors={2: (basis, amps / np.linalg.norm(amps))})
         traj = integrate(one, cfg, schedule, 3.5, n_snapshots=20)
         want = integrate_sectors_alone(one, cfg, schedule, 3.5, 1e-11, traj.times)
-        for snap, psi in zip(traj.snapshots, want[2]):
+        for snap, psi in zip(map(traj.state, range(len(traj.times))), want[2]):
             assert snap.sectors[2][1].tobytes() == psi.tobytes()
 
     @settings(max_examples=20, deadline=None)
@@ -667,7 +670,7 @@ class TestIntegrate:
             sched = CONSTANT_SCHEDULE
         traj = integrate(state, cfg, sched, t_end, n_snapshots=10)
         want = integrate_sectors_alone(state, cfg, sched, t_end, 1e-13, traj.times)
-        for i, snap in enumerate(traj.snapshots):
+        for i, snap in enumerate(map(traj.state, range(len(traj.times)))):
             assert sorted(snap.sectors) == sorted(state.sectors)
             for mm, psis in want.items():
                 np.testing.assert_allclose(
@@ -684,8 +687,8 @@ class TestIntegrate:
         assert many.stats.steps == one.stats.steps
         assert many.stats.rejected == one.stats.rejected
         # the last snapshot is the last step's own solution
-        for mm, (_, amps) in one.snapshots[-1].sectors.items():
-            assert many.snapshots[-1].sectors[mm][1].tobytes() == amps.tobytes()
+        for mm, (_, amps) in one.state(-1).sectors.items():
+            assert many.state(-1).sectors[mm][1].tobytes() == amps.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -720,18 +723,25 @@ class TestIntegrate:
         want = integrate(state, cfg, sched, t_end, tol=1e-13,
                          snapshot_times=times, n_snapshots=7)
         assert np.array_equal(got.times, want.times)
-        for g, w in zip(got.snapshots, want.snapshots):
+        for k in range(len(want.times)):
+            g, w = got.state(k), want.state(k)
             for mm, (_, amps) in w.sectors.items():
                 np.testing.assert_allclose(
                     g.sectors[mm][1], amps, rtol=0, atol=1e-9
                 )
 
     def test_all_sectors_take_one_integration(self, monkeypatch):
-        ranks = spy_on_integrate_ode(monkeypatch)
+        # one DP45 run per ramp of the t_tof >= 2 bump, each over all sectors
+        # stacked; a bump with overlapping ramps takes one run in all
+        runs = spy_on_ramp_runs(monkeypatch)
         cfg, state = random_detuned_state(Kind.LAMBDA, 2, 1, (0.2, -0.1), 15)
         assert len(state.sectors) == 2
         traj = integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=3.0), 3.0)
-        assert ranks == [1]
+        n = traj.amplitudes.shape[1]
+        assert runs == [(n, 0.0, 1.0), (n, 2.0, 3.0)]
+        runs.clear()
+        integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=1.9), 1.9)
+        assert runs == [(n, 0.0, 1.9)]
         # the sectors are disjoint views of the trajectory's one array:
         # writing into one touches no other
         snap = traj.state(-1)
@@ -741,37 +751,80 @@ class TestIntegrate:
         snap.sectors[1][1][:] = 0.0
         assert snap.sectors[3][1].tobytes() == before.tobytes()
 
-
     @pytest.mark.parametrize("row_block", [None, 37])
     def test_rows_match_the_whole_array_formula(self, row_block, monkeypatch):
-        # a detuned na = 2 pass on sectors 1 and 3; 37 amplitudes make blocks
-        # of 5 rows of 7
+        # a detuned na = 2 pass on sectors 1 and 3 in the single-run regime
+        # (ramps that overlap); 37 amplitudes make blocks of 5 rows of 7
         if row_block is not None:
             monkeypatch.setattr(dynamics, "_ROW_BLOCK", row_block)
-        runs = []
-        real = dynamics.integrate_ode
-
-        def recording(*args, **kwargs):
-            runs.append(real(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(dynamics, "integrate_ode", recording)
+        runs = record_integrate_ode(monkeypatch)
         cfg, state = random_detuned_state(Kind.XI, 2, 1, (0.2, -0.15), 21)
-        traj = integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=4.0),
+        traj = integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=1.9),
                          4.0, n_snapshots=50)
-        ((samples, stats),) = runs
+        ((_, samples, _),) = runs
         layout, _, e0, _ = dynamics._block_system(state.sectors, cfg)
         ts = np.array([t for t, _ in samples])
         ys = np.array([y for _, y in samples])
-        drift = max(
-            float(np.max(np.abs(np.linalg.norm(ys[:, sl], axis=1)
-                                - np.linalg.norm(state.sectors[m][1]))))
-            for m, (_, sl) in layout.items()
-        )
         want = np.exp((-1j * e0)[None, :] * ts[:, None]) * ys
         assert traj.amplitudes.shape == (51, 7)
         assert np.array_equal(traj.amplitudes, want)
-        assert traj.stats.max_norm_drift == drift
+        assert traj.stats.max_norm_drift == drift_of(ys, state, layout)
+
+    @pytest.mark.parametrize("row_block", [None, 37])
+    def test_split_rows_match_the_whole_array_formula(
+        self, row_block, monkeypatch
+    ):
+        # the same pass with t_tof = 3.7 and t_end = 4.9: ramp rows are
+        # their runs' samples, plateau rows one product over all times,
+        # rows past the exit one free phase.  Blocks of 5 rows leave every
+        # elementwise row bit for bit; a plateau block of one row is a
+        # matrix-vector product, whose sums may round differently
+        if row_block is not None:
+            monkeypatch.setattr(dynamics, "_ROW_BLOCK", row_block)
+        runs = record_integrate_ode(monkeypatch)
+        cfg, state = random_detuned_state(Kind.XI, 2, 1, (0.2, -0.15), 21)
+        t_tof = 3.7
+        traj = integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=t_tof),
+                         4.9, n_snapshots=49)
+        (_, entry, entry_stats), (plateau_end, exit_, exit_stats) = runs
+        layout, e, e0, h = dynamics._block_system(state.sectors, cfg)
+        times = traj.times
+        on_plateau = (times > 1.0) & (times < t_tof - 1.0)
+        past = times > t_tof
+        assert entry[-1][0] == 1.0 and exit_[-1][0] == t_tof
+        phi_in, phi_out = entry[-1][1], exit_[-1][1]
+        ts = times.copy()
+        rows = np.empty((len(times), 7), dtype=complex)
+        ramp_rows = [k for k in range(len(times))
+                     if not (on_plateau[k] or past[k])]
+        ramp_samples = entry[:-1] + exit_[:-1]
+        assert len(ramp_rows) == len(ramp_samples)
+        for k, (t, y) in zip(ramp_rows, ramp_samples):
+            ts[k], rows[k] = t, y
+        eig = dynamics._plateau_eigensystems(layout, e - e0, h)
+        for m, (_, sl) in layout.items():
+            lam, w = eig[m]
+            tau = times[on_plateau] - 1.0
+            c = w.conj().T @ phi_in[sl]
+            rows[np.ix_(on_plateau, np.arange(7)[sl])] = (
+                np.exp(-1j * np.outer(tau, lam)) * c) @ w.T
+            # the exit run starts from the exact plateau state
+            np.testing.assert_array_equal(
+                plateau_end[sl], w @ (np.exp(-1j * (t_tof - 2.0) * lam) * c)
+            )
+        free = np.exp(-1j * np.outer(times[past] - t_tof, e - e0))
+        rows[past] = free * phi_out
+        want = np.exp((-1j * e0)[None, :] * ts[:, None]) * rows
+        assert on_plateau.sum() > 5 and past.sum() > 5
+        exact = ~on_plateau if row_block else slice(None)
+        assert np.array_equal(traj.amplitudes[exact], want[exact])
+        np.testing.assert_allclose(traj.amplitudes, want, rtol=0, atol=1e-15)
+        assert traj.stats.max_norm_drift == pytest.approx(
+            drift_of(rows, state, layout), rel=0,
+            abs=1e-15 if row_block else 0.0,
+        )
+        assert traj.stats.steps == entry_stats.steps + exit_stats.steps
+        assert traj.stats.rejected == entry_stats.rejected + exit_stats.rejected
 
     def test_rows_take_one_array_besides_the_samples(self):
         # 2001 snapshots of one 231-state sector (na = 20): the samples and
@@ -787,6 +840,97 @@ class TestIntegrate:
             tracemalloc.stop()
         assert traj.amplitudes.shape == (2001, 231)
         assert peak < 3.5 * traj.amplitudes.nbytes
+
+
+# where t_end falls on a bump with t_tof >= 2, as a function of t_tof and a
+# fraction in (0, 1)
+_T_END = {
+    "entry ramp": lambda t_tof, frac: frac,
+    "1": lambda t_tof, frac: 1.0,
+    "plateau": lambda t_tof, frac: 1.0 + frac * (t_tof - 2.0),
+    "t_tof - 1": lambda t_tof, frac: t_tof - 1.0,
+    "exit ramp": lambda t_tof, frac: t_tof - 1.0 + frac,
+    "t_tof": lambda t_tof, frac: t_tof,
+    "past": lambda t_tof, frac: t_tof + 2.0 * frac,
+}
+
+
+class TestSplitBumpPass:
+    """integrate on a bump with t_tof >= 2 (DP45 ramps, exact plateau and
+    free phase after the exit) against one whole-pass DP45 run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(list(Kind)),
+        na=st.integers(1, 3),
+        m=st.integers(0, 3),
+        deltas=st.one_of(
+            st.just((0.0, 0.0)),
+            st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        ),
+        t_tof=st.floats(2.0, 8.0),
+        where=st.sampled_from(list(_T_END)),
+        frac=st.floats(0.01, 0.99),
+        fracs=st.lists(st.floats(0.0, 1.0), max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind=Kind.XI, na=1, m=1, deltas=(0.0, 0.0), t_tof=5.749,
+             where="t_tof", frac=0.5, fracs=[0.3], seed=1)
+    @example(kind=Kind.LAMBDA, na=3, m=2, deltas=(1.5, -1.5), t_tof=2.0,
+             where="past", frac=0.99, fracs=[0.01, 0.5], seed=2)
+    @example(kind=Kind.V, na=2, m=0, deltas=(0.4, -0.2), t_tof=8.0,
+             where="exit ramp", frac=0.01, fracs=[], seed=3)
+    def test_matches_one_tight_run_of_the_whole_pass(
+        self, kind, na, m, deltas, t_tof, where, frac, fracs, seed
+    ):
+        cfg, state = random_detuned_state(kind, na, m, deltas, seed)
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        t_end = _T_END[where](t_tof, frac)
+        # requested times, the piece boundaries among them
+        times = [t_end * f for f in fracs] + [
+            b for b in (1.0, t_tof - 1.0, t_tof) if b <= t_end
+        ]
+        traj = integrate(state, cfg, sched, t_end, snapshot_times=times,
+                         n_snapshots=9)
+        for t in times:
+            traj.state_at(t)
+        layout, e, e0, h = dynamics._block_system(state.sectors, cfg)
+        y0 = np.concatenate([state.sectors[mm][1] for mm in layout])
+        rhs = _frame_rhs(e - e0, h, sched.envelope)
+        samples, _ = integrate_ode(rhs, y0, 0.0, t_end, 1e-13, traj.times)
+        want = np.array([np.exp(-1j * e0 * t) * phi for t, phi in samples])
+        assert traj.amplitudes[0].tobytes() == y0.tobytes()
+        np.testing.assert_allclose(traj.amplitudes, want, rtol=0, atol=1e-9)
+
+    def test_readme_second_pass_takes_at_most_200_dp45_attempts(
+        self, monkeypatch
+    ):
+        # the README library example; as one run from t = 0 its second
+        # pass took 436 attempted steps, the two ramp runs take 159
+        from cnlight import protocol
+
+        trajs = []
+        real = protocol.integrate
+
+        def recording(*args, **kwargs):
+            trajs.append(real(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(protocol, "integrate", recording)
+        spec = protocol.ProtocolSpec(
+            config=REF, nu0=3, theta=math.pi / 4,
+            passes=(
+                protocol.PassSpec(schedule=CouplingSchedule(mode="bump", t_tof=8.0)),
+                protocol.PassSpec(
+                    schedule=CouplingSchedule(mode="bump", t_tof=5.749),
+                    exit_policy="search",
+                ),
+            ),
+        )
+        _, second = protocol.run_protocol(spec)
+        stats = trajs[-1].stats
+        assert trajs[-1].times[-1] == second.exit_time
+        assert stats.steps + stats.rejected <= 200
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +985,42 @@ def integrate_sectors_alone(state, cfg, schedule, t_end, tol, times):
         samples, _ = integrate_ode(rhs, amps, 0.0, t_end, tol, times)
         out[m] = [np.exp(-1j * e0 * t) * phi for t, phi in samples]
     return out
+
+
+def record_integrate_ode(monkeypatch):
+    """Record (y0, samples, stats) of every integrate_ode run."""
+    runs = []
+    real = dynamics.integrate_ode
+
+    def recording(f, y0, *args, **kwargs):
+        samples, stats = real(f, y0, *args, **kwargs)
+        runs.append((np.copy(y0), samples, stats))
+        return samples, stats
+
+    monkeypatch.setattr(dynamics, "integrate_ode", recording)
+    return runs
+
+
+def spy_on_ramp_runs(monkeypatch):
+    """Record (size of y0, t0, t_end) of every integrate_ode run."""
+    runs = []
+    real = dynamics.integrate_ode
+
+    def spy(f, y0, t0, t_end, *args, **kwargs):
+        runs.append((np.size(y0), t0, t_end))
+        return real(f, y0, t0, t_end, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_ode", spy)
+    return runs
+
+
+def drift_of(rows, state, layout):
+    """Largest change of any sector's norm over the rows."""
+    return max(
+        float(np.max(np.abs(np.linalg.norm(rows[:, sl], axis=1)
+                            - np.linalg.norm(state.sectors[m][1]))))
+        for m, (_, sl) in layout.items()
+    )
 
 
 def spy_on_integrate(monkeypatch):
@@ -990,7 +1170,7 @@ class TestExactPropagator:
         want = integrate(state, cfg, sched, t, tol=1e-11, n_snapshots=1)
         (got,) = SectorPropagator(state, cfg).states_at(sched, [t])
         assert sorted(got.sectors) == sorted(state.sectors)
-        for mm, (_, amps) in want.snapshots[-1].sectors.items():
+        for mm, (_, amps) in want.state(-1).sectors.items():
             np.testing.assert_allclose(got.sectors[mm][1], amps, rtol=0, atol=1e-9)
 
     def test_time_zero_returns_the_initial_state(self):
@@ -1061,7 +1241,7 @@ class TestFlightPropagator:
         want = integrate(state, cfg, sched, t_tof, tol=1e-11, n_snapshots=1)
         (got,) = SectorPropagator(state, cfg).states_at(sched, [t_tof])
         assert sorted(got.sectors) == sorted(state.sectors)
-        for mm, (_, amps) in want.snapshots[-1].sectors.items():
+        for mm, (_, amps) in want.state(-1).sectors.items():
             np.testing.assert_allclose(got.sectors[mm][1], amps, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("t_tof", [1.999, 1.0, 0.5])

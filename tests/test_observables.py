@@ -108,7 +108,7 @@ class TestReduceField:
         traj = integrate(
             ground_product_state(REF, 3), REF, CONSTANT_SCHEDULE, tau, n_snapshots=1
         )
-        rho = reduce_field(traj.snapshots[-1])
+        rho = reduce_field(traj.state(-1))
         u13, u23, u33 = evolve_ground_analytic(REF, 3, tau)
         probs = photon_probabilities(rho)
         assert probs[1] == pytest.approx(abs(u13) ** 2, abs=1e-9)
@@ -131,7 +131,7 @@ class TestReduceField:
     def test_reduction_is_positive(self):
         state = make_superposition(2, 7, 0.9, 1.8, 1, REF)
         traj = integrate(state, REF, CONSTANT_SCHEDULE, 2.0, n_snapshots=4)
-        for snap in traj.snapshots:
+        for snap in map(traj.state, range(len(traj.times))):
             assert reduce_field(snap).min_eigenvalue() > -1e-12
 
 
@@ -195,7 +195,7 @@ class TestPhotonWeights:
         state = make_superposition(1, 4, 0.6, 0.3, 3, cfg)
         traj = integrate(state, cfg, CouplingSchedule(mode="bump", t_tof=3.0),
                          3.0, n_snapshots=6)
-        for snap in traj.snapshots:
+        for snap in map(traj.state, range(len(traj.times))):
             want = photon_probabilities(reduce_field(snap))
             assert np.max(np.abs(photon_weights(snap) - want)) <= 1e-15
 
@@ -379,14 +379,14 @@ class TestEntropy:
                 ground_product_state(REF, 4), REF, CONSTANT_SCHEDULE, tau,
                 n_snapshots=1,
             )
-            s = linear_entropy(reduce_field(traj.snapshots[-1]))
+            s = linear_entropy(reduce_field(traj.state(-1)))
             assert -1e-12 <= s <= 2.0 / 3.0 + 1e-12
 
     def test_matches_eigenvalue_form(self):
         traj = integrate(
             ground_product_state(REF, 5), REF, CONSTANT_SCHEDULE, 1.7, n_snapshots=1
         )
-        rho = reduce_field(traj.snapshots[-1])
+        rho = reduce_field(traj.state(-1))
         lam = np.linalg.eigvalsh(rho.rho)
         assert linear_entropy(rho) == pytest.approx(1.0 - np.sum(lam**2), abs=1e-13)
 
