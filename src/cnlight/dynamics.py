@@ -22,9 +22,9 @@ t_tof >= 2 takes one DP45 run per unit ramp, and its plateau and the time
 after its exit are exact.
 
 Searches evaluate many states of one initial state; :class:`SectorPropagator`
-serves them in closed form for resonant sectors, by two precomputed ramp
-propagators joined by the exact plateau for the exit states of full bump
-passes, and by one integration otherwise.
+serves them exactly for resonant sectors and for the exit states of full
+bump passes, and by one integration otherwise.  Every exact state, there
+or in :func:`integrate`, is a row of one kernel (:func:`_eigen_rows`).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ DEFAULT_TOL = 1e-11
 SEARCH_TOL = 1e-9      # integration tolerance of search probes off the exact paths
 MIN_STEP = 1e-12
 MAX_SNAPSHOTS = 10**6   # snapshot intervals of one integration
-_ROW_BLOCK = 2**16      # amplitudes per block of integrate's row arithmetic
+_ROW_BLOCK = 2**16      # amplitudes per block of row arithmetic
 GAUSS_NODES = 64    # Gauss-Legendre nodes per smooth piece of the envelope
 
 
@@ -511,13 +511,16 @@ def _block_system(
     sectors: Mapping[int, Tuple[SectorBasis, np.ndarray]], config: AtomicConfig
 ) -> Tuple[Dict[int, Tuple[SectorBasis, slice]], np.ndarray, np.ndarray, np.ndarray]:
     """Stacked layout (``sector_layout``), bare energies, frame energies
-    and H_int.
+    and H_int of the sectors of a normalized state (refused otherwise).
 
     The frame energy E0 of every basis state is the bare energy of the
     first basis state of its sector; E - E0 is exactly zero on a resonant
     sector.  H_int is block diagonal: one block per sector and exact zeros
     elsewhere, so one integration of the stacked system never mixes them.
     """
+    off = abs(SystemState(sectors).norm() - 1.0)
+    if not off <= 1e-9:   # NaN fails too
+        raise ValidationError(f"need a normalized state, |norm-1| = {off:.3g}")
     layout = sector_layout(sectors)
     n = sum(len(basis) for basis, _ in sectors.values())
     e = np.zeros(n)
@@ -574,7 +577,8 @@ def integrate(
     Snapshots inside a DP45 step come from the step's continuous
     extension, so ``tol`` bounds them as it bounds the steps.  A ``tol``
     below machine epsilon is refused: its error estimates would be
-    roundoff.  So is a grid of more than MAX_SNAPSHOTS intervals.
+    roundoff.  So are a grid of more than MAX_SNAPSHOTS intervals and a
+    snapshot time outside [0, ``t_end``] (NaN too).
     """
     if not 0 < t_end < math.inf:
         raise ValidationError(f"need a finite t_end > 0, got {t_end}")
@@ -586,14 +590,11 @@ def integrate(
         raise ValidationError(
             f"need 1 <= n_snapshots <= {MAX_SNAPSHOTS}, got {n_snapshots}"
         )
-    if not abs(initial.norm() - 1.0) <= 1e-9:   # NaN fails too
-        raise ValidationError(
-            f"initial state must be normalized, |norm-1| = "
-            f"{abs(initial.norm() - 1.0):.3g}"
-        )
     grid = np.linspace(0.0, t_end, n_snapshots + 1)
     if snapshot_times is not None:
         extra = np.asarray(sorted(snapshot_times), dtype=float)
+        if not np.all((extra >= -1e-15) & (extra <= t_end + 1e-15)):   # NaN too
+            raise ValidationError(f"snapshot times {extra} must lie inside the span")
         grid = np.unique(np.concatenate([grid, extra]))
         # collapse floating-point near-duplicates from the merge
         keep = np.concatenate([[True], np.diff(grid) > 1e-12])
@@ -602,14 +603,25 @@ def integrate(
     layout, e, e0, h_base = _block_system(initial.sectors, config)
     y0 = np.concatenate([initial.sectors[m][1] for m in layout])
     rhs = _frame_rhs(e - e0, h_base, schedule.envelope)
+    ts = grid.copy()
+    rows = np.empty((len(grid), len(y0)), dtype=complex)
+    stats = IntegratorStats()
+
+    def run(phi, t0, t1, lo, hi, end=True):
+        # rows lo..hi - 1 by DP45 from phi at t0 to t1, then with end the state at t1
+        dense = np.append(grid[lo:hi], [t1] if end else [])
+        samples, part = integrate_ode(rhs, phi, t0, t1, tol, dense)
+        stats.steps += part.steps
+        stats.rejected += part.rejected
+        for k, (t, y) in zip(range(lo, hi), samples):
+            ts[k], rows[k] = t, y
+        return samples[-1][1]
+
     if schedule.mode == "bump" and schedule.t_tof >= 2.0:
-        ts, rows, stats = _bump_pass(
-            rhs, y0, layout, e - e0, h_base, schedule.t_tof, t_end, tol, grid
-        )
+        _bump_pass(run, y0, layout, e - e0, h_base, schedule.t_tof, t_end,
+                   grid, rows)
     else:
-        samples, stats = integrate_ode(rhs, y0, 0.0, t_end, tol, grid)
-        ts = np.array([t for t, _ in samples])
-        rows = np.array([y for _, y in samples])
+        run(y0, 0.0, t_end, 0, len(grid), end=False)
     norms0 = {m: np.linalg.norm(initial.sectors[m][1]) for m in layout}
     # the norm drift, then back to physical amplitudes in place, a bounded
     # block of rows at a time: no second (T, N) array
@@ -626,92 +638,87 @@ def integrate(
 
 
 def _bump_pass(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    run: Callable[..., np.ndarray],
     y0: np.ndarray,
     layout: Mapping[int, Tuple[SectorBasis, slice]],
     delta: np.ndarray,
     h_base: np.ndarray,
     t_tof: float,
     t_end: float,
-    tol: float,
     grid: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, IntegratorStats]:
-    """Rotating-frame rows at ``grid`` of a bump pass with t_tof >= 2, and
-    the time of each row.
+    rows: np.ndarray,
+) -> None:
+    """Rotating-frame ``rows`` at ``grid`` of a bump pass with t_tof >= 2.
 
     The envelope is exactly 1 on the plateau [1, t_tof - 1], so there
 
         phi(t) = W exp(-i lam (t - 1)) W^dag phi(1)
 
-    per sector, with Delta + H_int = W diag(lam) W^dag
-    (:func:`_plateau_eigensystems`), and past the exit
+    per sector (:func:`_eigen_rows`), and past the exit
     phi(t) = exp(-i Delta (t - t_tof)) phi(t_tof).  Only the entry ramp
-    [0, 1] and the exit ramp [t_tof - 1, t_tof] take a DP45 run at
-    ``tol``, the second started from the exact plateau state.  No piece
-    reaches past ``t_end``.  The exact rows are written in place, a
-    bounded block at a time.
+    [0, 1] and the exit ramp [t_tof - 1, t_tof] take a DP45 run of
+    ``run``, the second started from the exact plateau state.  No piece
+    reaches past ``t_end``.
     """
-    if not np.all((grid >= -1e-15) & (grid <= t_end + 1e-15)):
-        raise ValidationError("snapshot times must lie inside the span")
-    ts = grid.copy()
-    rows = np.empty((len(grid), len(y0)), dtype=complex)
-    stats = IntegratorStats()
-
-    def ramp(phi, t0, t1, lo, hi):
-        # one DP45 run from phi at t0 over grid[lo:hi]; the state at t1
-        samples, run = integrate_ode(
-            rhs, phi, t0, t1, tol, np.append(grid[lo:hi], t1)
-        )
-        stats.steps += run.steps
-        stats.rejected += run.rejected
-        for k, (t, y) in enumerate(samples[:-1], lo):
-            ts[k] = t
-            rows[k] = y
-        return samples[-1][1]
-
     entry = int(np.searchsorted(grid, 1.0, side="right"))
-    phi = ramp(y0, 0.0, min(1.0, t_end), 0, entry)
+    phi = run(y0, 0.0, min(1.0, t_end), 0, entry)
     if t_end <= 1.0:
-        return ts, rows, stats
+        return
 
-    step = max(1, _ROW_BLOCK // len(y0))
     exit_ = max(entry, int(np.searchsorted(grid, t_tof - 1.0, side="left")))
+    terms = _kernel_terms(_plateau_eigensystems(layout, delta, h_base), layout, phi)
+    _eigen_rows(grid[entry:exit_] - 1.0, *terms, layout, rows[entry:exit_])
     plateau_end = np.empty_like(phi)
-    for m, (lam, w) in _plateau_eigensystems(layout, delta, h_base).items():
-        sl = layout[m][1]
-        c = w.conj().T @ phi[sl]
-        for first in range(entry, exit_, step):
-            tau = grid[first:min(first + step, exit_)] - 1.0
-            np.matmul(np.exp(-1j * np.outer(tau, lam)) * c, w.T,
-                      out=rows[first:first + tau.size, sl])
-        plateau_end[sl] = w @ (np.exp(-1j * (t_tof - 2.0) * lam) * c)
+    _eigen_rows(np.array([t_tof - 2.0]), *terms, layout, plateau_end[None])
     if t_end < t_tof - 1.0:
-        return ts, rows, stats
+        return
 
     past = int(np.searchsorted(grid, t_tof, side="right"))
-    phi = ramp(plateau_end, t_tof - 1.0, min(t_tof, t_end), exit_, past)
+    phi = run(plateau_end, t_tof - 1.0, min(t_tof, t_end), exit_, past)
+    step = max(1, _ROW_BLOCK // len(y0))
     for first in range(past, len(grid), step):
         dt = grid[first:first + step] - t_tof
         np.multiply(np.exp(-1j * np.outer(dt, delta)), phi,
                     out=rows[first:first + dt.size])
-    return ts, rows, stats
 
 
 def _plateau_eigensystems(
     layout: Mapping[int, Tuple[SectorBasis, slice]],
-    e: np.ndarray,
+    delta: np.ndarray,
     h_base: np.ndarray,
 ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Label -> (lam, W) with diag(e) + H_int = W diag(lam) W^dag on the
-    sector's block: the Hamiltonian of a bump's plateau, where f = 1.
-
-    ``e`` holds bare energies, or their offsets from the frame energies E0
-    for the rotating frame, which shift each sector's lam by its E0.
+    """Label -> (lam, W) with diag(delta) + H_int = W diag(lam) W^dag on
+    the sector's block: the rotating-frame generator where f = 1, as on
+    a bump's plateau.  ``delta`` holds E - E0 of every basis state.
     """
     return {
-        m: np.linalg.eigh(np.diag(e[sl]) + h_base[sl, sl])
+        m: np.linalg.eigh(np.diag(delta[sl]) + h_base[sl, sl])
         for m, (_, sl) in layout.items()
     }
+
+
+def _kernel_terms(
+    eig: Mapping[int, Tuple[np.ndarray, np.ndarray]],
+    layout: Mapping[int, Tuple[SectorBasis, slice]],
+    phi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+    """The stacked lam and c and the per-sector R = W^T of :func:`_eigen_rows`
+    for the rotating-frame state ``phi``: c = W^dag phi per sector."""
+    lam = np.concatenate([eig[m][0] for m in layout])
+    c = [eig[m][1].conj().T @ phi[sl] for m, (_, sl) in layout.items()]
+    return lam, np.concatenate(c), {m: w.T for m, (_, w) in eig.items()}
+
+
+def _eigen_rows(tau, lam, c, rs, layout, out) -> None:
+    """The one exact kernel: row k of ``out`` is (exp(-i lam tau[k]) * c) R,
+    R = ``rs[m]`` on each sector m's slice of ``layout`` (:func:`_kernel_terms`),
+    with at most _ROW_BLOCK phases held at a time."""
+    step = max(1, _ROW_BLOCK // lam.size)
+    for first in range(0, len(tau), step):
+        t = tau[first:first + step]
+        v = np.exp(-1j * (t[:, None] * lam)) * c
+        for m, (_, sl) in layout.items():
+            np.matmul(v[:, sl], rs[m], out=out[first:first + t.size, sl])
 
 
 # ------------------------------------------------------------------
@@ -763,54 +770,39 @@ def _quadrature_area(schedule: CouplingSchedule, t: float) -> float:
 
 
 class SectorPropagator:
-    """States reached from one initial state, each by an exact engine.
+    """States reached from one initial state, exact where the algebra allows.
 
-    The engine follows from the configuration, the schedule and the times:
+    Each engine works in the sectors' rotating frames and converts to
+    physical amplitudes once; each sector is diagonalised once
+    (:func:`_plateau_eigensystems`), and every exact state is a row of the
+    kernel :func:`_eigen_rows`, (exp(-i lam tau) * c) R:
 
-    * **Every sector resonant** (every detuning zero): the rotating-frame
-      generator f(t) H_int commutes with itself at all times, so
-      with H_int = V diag(lam) V^dag and the pulse area A(t) of f,
+    * **Every sector resonant** (Delta = 0): f(t) H_int commutes with
+      itself at all times, so phi(t) = W exp(-i A(t) lam) W^dag phi(0) for
+      any schedule and t, A(t) the pulse area of f (:func:`_pulse_area`):
+      tau = A(t), c = W^dag phi(0), R = W^T.
+    * **Otherwise, the exit state of a bump with t_tof >= 2**: entry ramp,
+      plateau f = 1 and the mirrored exit ramp U_entry^T (f H_int + Delta
+      is real symmetric and f(t_tof - t) = f(t)): tau = t_tof - 2,
+      c = W^dag U_entry phi(0), R = W^T U_entry.  The entry ramps of all
+      sectors take one DP45 run at DEFAULT_TOL, on the first such request.
+    * **Anything else**: one :func:`integrate` call at SEARCH_TOL, for all
+      the times of a detuned :meth:`states_at` and for each detuned exit
+      state with t_tof < 2, whose ramps overlap.
 
-          psi(t) = exp(-i E0 t) V exp(-i A(t) lam) V^dag psi(0)
-
-      for any schedule and t.  Each sector is diagonalised once.  A(t) is
-      exact arithmetic on the plateau of a bump with t_tof >= 2 and at or
-      past its exit; only a partial ramp, a shorter bump or the constant
-      envelope costs a quadrature (:func:`_pulse_area`).
-    * **Otherwise, the exit state of a bump with t_tof >= 2**: with the
-      entry ramp on [0, 1], the plateau f = 1 up to t_tof - 1 and the
-      mirrored exit ramp,
-
-          psi(t_tof) = U_exit W exp(-i lam (t_tof - 2)) W^dag U_entry psi(0)
-
-      where diag(E) + H_int = W diag(lam) W^dag.  Neither ramp depends on
-      t_tof, and as the Hamiltonian is real symmetric U_exit = U_entry^T.
-      The entry ramps of all sectors are integrated in one DP45 run (at
-      DEFAULT_TOL, every basis state of the block-diagonal system at
-      once) at most once, on the first such request.  The plateau
-      eigensystem is :func:`_plateau_eigensystems`, as in
-      :func:`integrate`.
-    * **Anything else** (detuned partial passes, constant coupling, bumps
-      with t_tof < 2, whose ramps overlap): one :func:`integrate` call at
-      SEARCH_TOL with the requested times as snapshot times; on a bump
-      with t_tof >= 2 it runs DP45 on the ramps only.
+    The initial state is checked as :func:`integrate` checks it.
     """
 
     def __init__(self, initial: SystemState, config: AtomicConfig):
-        self._initial = initial
-        self._config = config
-        self._sectors, self._e, self._e0, self._h = _block_system(
-            initial.sectors, config
-        )
+        self._initial, self._config = initial, config
+        self._sectors, e, self._e0, self._h = _block_system(initial.sectors, config)
+        self._delta = e - self._e0
+        self._eig = _plateau_eigensystems(self._sectors, self._delta, self._h)
+        self._phi0 = np.concatenate([initial.sectors[m][1] for m in self._sectors])
         self._closed = None
+        if not self._delta.any():
+            self._closed = _kernel_terms(self._eig, self._sectors, self._phi0)
         self._flight = None
-        if np.array_equal(self._e, self._e0):
-            self._closed = {}
-            for m, (basis, sl) in self._sectors.items():
-                lam, v = np.linalg.eigh(self._h[sl, sl])
-                e0 = float(self._e0[sl.start])
-                amps = initial.sectors[m][1]
-                self._closed[m] = (basis, e0, lam, v, v.conj().T @ amps)
 
     def states_at(
         self, schedule: CouplingSchedule, times: Iterable[float]
@@ -820,44 +812,48 @@ class SectorPropagator:
         if not times or not all(0.0 <= t < math.inf for t in times):
             raise ValidationError(f"need finite times >= 0, got {times}")
         if self._closed is not None:
-            return [self._closed_form(schedule, t) for t in times]
-        t_tof = schedule.t_tof
-        if schedule.mode == "bump" and t_tof >= 2.0 and set(times) == {t_tof}:
-            return [self._exit_state(t_tof) for _ in times]
+            areas = [_pulse_area(schedule, t) for t in times]
+            return self._exact(self._closed, areas, times)
         traj = integrate(
             self._initial, self._config, schedule, max(times),
             tol=SEARCH_TOL, snapshot_times=times, n_snapshots=1,
         )
         return [traj.state_at(t) for t in times]
 
-    def _closed_form(self, schedule: CouplingSchedule, t: float) -> SystemState:
-        area = _pulse_area(schedule, t)
-        return SystemState(sectors={
-            m: (basis, np.exp(-1j * e0 * t) * (v @ (np.exp(-1j * area * lam) * c0)))
-            for m, (basis, e0, lam, v, c0) in self._closed.items()
-        })
-
-    def _exit_state(self, t_tof: float) -> SystemState:
-        if self._flight is None:
+    def exit_states(self, t_tofs: Iterable[float]) -> List[SystemState]:
+        """Physical amplitudes at the exit of a bump pass of each of
+        ``t_tofs`` (finite, > 0)."""
+        t_tofs = [float(t) for t in t_tofs]
+        if not t_tofs or not all(0.0 < t < math.inf for t in t_tofs):
+            raise ValidationError(f"need finite times of flight > 0, got {t_tofs}")
+        bumps = [CouplingSchedule(mode="bump", t_tof=t) for t in t_tofs]
+        if self._closed is not None:
+            areas = [_pulse_area(b, t) for b, t in zip(bumps, t_tofs)]
+            return self._exact(self._closed, areas, t_tofs)
+        full = [t for t in t_tofs if t >= 2.0]
+        if full and self._flight is None:
             # on [0, 1] the envelope of the shortest full bump is the entry ramp
-            ramp = CouplingSchedule(mode="bump", t_tof=2.0)
-            e, e0, h = self._e, self._e0, self._h
-            rhs = _frame_rhs(e - e0, h, ramp.envelope)
-            [(_, phi)], _ = integrate_ode(
-                rhs, np.eye(len(e)), 0.0, 1.0, DEFAULT_TOL, [1.0]
+            rhs = _frame_rhs(self._delta, self._h, functools.partial(bump, 2.0))
+            [(_, u)], _ = integrate_ode(
+                rhs, np.eye(self._delta.size), 0.0, 1.0, DEFAULT_TOL, [1.0]
             )
-            u_block = np.exp(-1j * e0)[:, None] * phi
-            self._flight = {}
-            plateau = _plateau_eigensystems(self._sectors, e, h)
-            for m, (basis, sl) in self._sectors.items():
-                amps = self._initial.sectors[m][1]
-                u_entry = u_block[sl, sl]
-                lam, w = plateau[m]
-                # U_exit W, and the plateau coefficients W^dag U_entry psi(0)
-                self._flight[m] = (
-                    basis, lam, u_entry.T @ w, w.conj().T @ (u_entry @ amps)
-                )
-        return SystemState(sectors={
-            m: (basis, u_out @ (np.exp(-1j * (t_tof - 2.0) * lam) * c_in))
-            for m, (basis, lam, u_out, c_in) in self._flight.items()
-        })
+            lam, c, rs = _kernel_terms(self._eig, self._sectors, u @ self._phi0)
+            self._flight = lam, c, {
+                m: rs[m] @ u[sl, sl] for m, (_, sl) in self._sectors.items()
+            }
+        tau = [t - 2.0 for t in full]
+        exits = iter(self._exact(self._flight, tau, full) if full else ())
+        # the shorter flights, whose ramps overlap, in order among the full ones
+        return [
+            next(exits) if t >= 2.0 else self.states_at(b, [t])[0]
+            for b, t in zip(bumps, t_tofs)
+        ]
+
+    def _exact(self, terms, tau, times) -> List[SystemState]:
+        """The states at ``times``: physical rows of the kernel at ``tau``."""
+        tau, times = np.array(tau), np.array(times)
+        rows = np.empty((tau.size, self._e0.size), dtype=complex)
+        _eigen_rows(tau, *terms, self._sectors, rows)
+        rows = np.exp((-1j * self._e0)[None, :] * times[:, None]) * rows
+        traj = Trajectory(times, rows, self._sectors, IntegratorStats())
+        return [traj.state(k) for k in range(times.size)]

@@ -296,9 +296,9 @@ def first_passage(
     The exit time is placed at the local minimum of P(nu0 - 1): a coarse
     0.01 grid around the predicted instant (the switching time, delayed by
     the ramp area 1/2 for the bump envelope) followed by golden-section
-    refinement, each evaluated by one :class:`SectorPropagator`: in closed
-    form on a resonant configuration, otherwise by one integration for the
-    whole grid and one per refinement probe.  The reported pass always
+    refinement, each evaluated by :meth:`SectorPropagator.states_at`: in
+    closed form on a resonant configuration, otherwise by one integration
+    for the whole grid and one per refinement probe.  The reported pass always
     goes through :func:`integrate` (under a bump with t_tof >= 2: DP45 on
     the entry ramp, the plateau exact).  ``components``
     ({nu0 - 2: c, nu0: c'}), when given, replace the read-off of the exit
@@ -390,13 +390,13 @@ def find_tof_for_cat(
     Scans the window (default [1, 20]) on a 0.05 grid for the time of
     flight minimizing the population outside the two target photon
     numbers (drained lower component, preserved upper), then refines by
-    golden section.  One :class:`SectorPropagator` evaluates every
-    candidate: in closed form on a resonant configuration; on a detuned one
-    by two precomputed ramp propagators joined by the exact plateau for
-    t_tof >= 2, and by one integration from t = 0 for a shorter candidate,
-    whose ramps overlap.  The objective takes the photon statistics of each
-    exit state straight from its amplitudes (:func:`photon_weights`), with
-    no reduced field.  Raises
+    golden section.  One :class:`SectorPropagator` gives the exit states
+    (``exit_states``) of the whole scan at once, and of each probe: one
+    exact kernel call for every candidate of a resonant configuration and
+    every detuned one with t_tof >= 2, and one integration from t = 0 per
+    shorter detuned candidate, whose ramps overlap.  The objective takes
+    the photon statistics of each exit state straight from its amplitudes
+    (:func:`photon_weights`), with no reduced field.  Raises
     TargetUnreachableError (with the best point attached) if the achieved
     leakage stays above ``target``, and ValidationError for a window of
     more than MAX_SCAN_POINTS candidates.
@@ -421,12 +421,13 @@ def find_tof_for_cat(
     candidates = candidates[candidates <= w1 + 1e-9 * SCAN_STEP]
     propagator = SectorPropagator(state, config)
 
-    def leakage_at(t: float) -> float:
-        schedule = CouplingSchedule(mode="bump", t_tof=t)
-        (exit_state,) = propagator.states_at(schedule, [t])
-        return _leakage(photon_weights(exit_state), _exit_components(exit_state))
+    def leakages(t_tofs: Sequence[float]) -> List[float]:
+        exits = propagator.exit_states(t_tofs)
+        return [_leakage(photon_weights(s), _exit_components(s)) for s in exits]
 
-    t_best, leak_best = _scan_and_refine(leakage_at, candidates, 1e-5)
+    t_best, leak_best = _scan_and_refine(
+        lambda t: leakages([t])[0], candidates, 1e-5, leakages
+    )
     if leak_best > target:
         raise TargetUnreachableError(
             f"best leakage {leak_best:.4g} at t_tof = {t_best:.4f} "

@@ -615,6 +615,21 @@ class TestIntegrate:
                 integrate(bad, REF, CONSTANT_SCHEDULE, 1.0)
 
     @pytest.mark.parametrize(
+        "schedule", [CONSTANT_SCHEDULE, CouplingSchedule(mode="bump", t_tof=3.0)],
+        ids=["constant", "bump"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snapshot_time_is_refused(self, schedule, bad):
+        # a NaN used to vanish in the merge with the uniform grid
+        state = ground_product_state(REF, 2)
+        with pytest.raises(ValidationError):
+            integrate(state, REF, schedule, 1.0, snapshot_times=[bad],
+                      n_snapshots=2)
+        with pytest.raises(ValidationError):
+            integrate(state, REF, schedule, 1.0, snapshot_times=[0.25, bad],
+                      n_snapshots=2)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": 1e-300},
          {"tol": 1e-16}, {"n_snapshots": 0}, {"n_snapshots": -1},
@@ -1065,6 +1080,19 @@ def assert_matches_integrator(state, cfg, sched, times, atol):
             np.testing.assert_allclose(g.sectors[mm][1], amps, rtol=0, atol=atol)
 
 
+def assert_exits_match_integrator(state, cfg, t_tofs, atols):
+    """SectorPropagator.exit_states of one batch against integrate(tol=1e-11)
+    of each flight, to the matching entry of ``atols``."""
+    got = SectorPropagator(state, cfg).exit_states(t_tofs)
+    assert len(got) == len(t_tofs)
+    for t_tof, atol, g in zip(t_tofs, atols, got):
+        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
+        want = integrate(state, cfg, sched, t_tof, tol=1e-11, n_snapshots=1)
+        assert sorted(g.sectors) == sorted(state.sectors)
+        for mm, (_, amps) in want.state(-1).sectors.items():
+            np.testing.assert_allclose(g.sectors[mm][1], amps, rtol=0, atol=atol)
+
+
 def spy_on_quadrature(monkeypatch):
     """Record the time of every quadrature of the envelope."""
     times = []
@@ -1239,7 +1267,7 @@ class TestFlightPropagator:
         cfg, state = random_detuned_state(kind, na, m, deltas, seed)
         sched = CouplingSchedule(mode="bump", t_tof=t_tof)
         want = integrate(state, cfg, sched, t_tof, tol=1e-11, n_snapshots=1)
-        (got,) = SectorPropagator(state, cfg).states_at(sched, [t_tof])
+        (got,) = SectorPropagator(state, cfg).exit_states([t_tof])
         assert sorted(got.sectors) == sorted(state.sectors)
         for mm, (_, amps) in want.state(-1).sectors.items():
             np.testing.assert_allclose(got.sectors[mm][1], amps, rtol=0, atol=1e-9)
@@ -1263,8 +1291,20 @@ class TestSectorPropagator:
     @pytest.mark.parametrize("t_tof,atol", [(2.0, 1e-9), (1.999, FALLBACK_ATOL)])
     def test_exit_states_on_both_sides_of_two(self, t_tof, atol):
         cfg, state = random_detuned_state(Kind.XI, 2, 2, (0.13, -0.07), 11)
-        sched = CouplingSchedule(mode="bump", t_tof=t_tof)
-        assert_matches_integrator(state, cfg, sched, [t_tof], atol=atol)
+        assert_exits_match_integrator(state, cfg, [t_tof], [atol])
+
+    def test_exit_batch_straddling_two(self, monkeypatch):
+        # one kernel call serves the flights of 2 and more, in any order
+        # among the shorter ones; each shorter one takes its own integration
+        cfg, state = random_detuned_state(Kind.XI, 2, 2, (0.13, -0.07), 11)
+        t_tofs = [3.7, 1.999, 2.0, 1.5, 2.0001, 5.25]
+        atols = [1e-9 if t >= 2.0 else FALLBACK_ATOL for t in t_tofs]
+        assert_exits_match_integrator(state, cfg, t_tofs, atols)
+        calls = spy_on_integrate(monkeypatch)
+        ranks = spy_on_integrate_ode(monkeypatch)
+        SectorPropagator(state, cfg).exit_states(t_tofs)
+        assert calls == [(1.999, SEARCH_TOL), (1.5, SEARCH_TOL)]
+        assert ranks == [2, 1, 1]   # the ramp, then one run per short flight
 
     def test_batch_mixing_exit_and_partial_times(self, monkeypatch):
         cfg, state = random_detuned_state(Kind.LAMBDA, 2, 2, (0.2, -0.1), 12)
@@ -1275,8 +1315,8 @@ class TestSectorPropagator:
         prop = SectorPropagator(state, cfg)
         mixed = prop.states_at(sched, times)
         assert calls == [(5.0, SEARCH_TOL)]
-        (alone,) = prop.states_at(sched, [5.0])
-        assert calls == [(5.0, SEARCH_TOL)]   # the exit alone takes the ramps
+        (alone,) = prop.exit_states([5.0])
+        assert calls == [(5.0, SEARCH_TOL)]   # the exit state takes the ramps
         for mm, (_, amps) in alone.sectors.items():
             np.testing.assert_allclose(
                 mixed[2].sectors[mm][1], amps, rtol=0, atol=FALLBACK_ATOL
@@ -1289,8 +1329,32 @@ class TestSectorPropagator:
         state = make_superposition(0, 2, 0.7, 0.4, 1, cfg)
         assert [len(b) for b, _ in state.sectors.values()] == [1, 3]
         sched = CouplingSchedule(mode="bump", t_tof=t_tof)
-        assert_matches_integrator(state, cfg, sched, [t_tof], atol=1e-9)
+        assert_exits_match_integrator(state, cfg, [t_tof], [1e-9])
         assert_matches_integrator(state, cfg, sched, [0.5, t_tof], atol=FALLBACK_ATOL)
+
+    @pytest.mark.parametrize("regime", ["closed form", "flight", "fallback"])
+    @pytest.mark.parametrize("fill", [2.0, math.nan], ids=["norm 2", "nan"])
+    def test_initial_state_is_checked_as_integrate_checks_it(self, regime, fill):
+        # the exact engines once returned a state of norm 2 unchanged, and
+        # NaN rows for a NaN amplitude
+        deltas = (0.0, 0.0) if regime == "closed form" else (0.2, -0.1)
+        cfg, state = random_detuned_state(Kind.XI, 1, 1, deltas, 15)
+        bad = SystemState(sectors={
+            m: (basis, amps * fill) if m == 1 else (basis, amps)
+            for m, (basis, amps) in state.sectors.items()
+        })
+        if fill == 2.0:
+            assert bad.norm() > 1.1
+        sched = CouplingSchedule(mode="bump", t_tof=3.0)
+        with pytest.raises(ValidationError):
+            integrate(bad, cfg, sched, 3.0)
+        with pytest.raises(ValidationError):
+            prop = SectorPropagator(bad, cfg)
+            if regime == "fallback":
+                prop.states_at(sched, [1.5])
+            else:
+                prop.states_at(sched, [3.0])
+                prop.exit_states([3.0])
 
     def test_resonant_propagator_never_integrates(self, monkeypatch):
         ranks = spy_on_integrate_ode(monkeypatch)
@@ -1301,6 +1365,7 @@ class TestSectorPropagator:
             prop.states_at(sched, [t_tof])
             prop.states_at(sched, [0.3, t_tof / 2, t_tof])
         prop.states_at(CONSTANT_SCHEDULE, [0.0, 3.0])
+        prop.exit_states([1.5, 2.0, 5.0])
         assert ranks == []
 
     def test_detuned_ramps_integrate_once_per_state_on_demand(self, monkeypatch):
@@ -1312,5 +1377,5 @@ class TestSectorPropagator:
         prop.states_at(CouplingSchedule(mode="bump", t_tof=5.0), [3.0])
         assert ranks == [1]         # a partial pass takes no ramp
         for t_tof in (2.0, 3.3, 5.0, 7.5, 3.3):
-            prop.states_at(CouplingSchedule(mode="bump", t_tof=t_tof), [t_tof])
+            prop.exit_states([t_tof])
         assert ranks == [1, 2]      # one ramp run for both sectors

@@ -1,8 +1,12 @@
 """CLI outputs against the stored outputs of an earlier build.
 
-The files under ``tests/data`` hold the stdout of four commands: the
+The files under ``tests/data`` hold the stdout of five commands: the
 README's two-pass ``protocol`` run, ``table1``, the README's ``evolve``
-run and ``husimi`` of the (2, 7) cat on a 21² grid.  Every number of a fresh run must lie within GOLDEN_ATOL of the stored
+run, ``husimi`` of the (2, 7) cat on a 21² grid, and a two-pass
+``protocol`` on a detuned ladder, whose searches take the detuned paths
+(a first pass scanned by one integration, a time-of-flight search
+through the ramps and the exact plateau, a reported pass split at its
+ramps).  Every number of a fresh run must lie within GOLDEN_ATOL of the stored
 one; everything else (layout, keys, column names, integers such as photon
 numbers, orders and exact zeros) must match character for character.  An
 integrator change that moves outputs by roundoff-sized amounts passes; one
@@ -35,6 +39,11 @@ CASES = {
     ],
     "husimi_2_7.csv": [
         "husimi", "--nu1", "2", "--nu2", "7", "--theta", "0.785398", "--grid=-3:3:21",
+    ],
+    "protocol_detuned.json": [
+        "protocol", "--mu12", "1", "--mu23", repr(math.sqrt(2.0)),
+        "--delta12", "0.1", "--delta23", "-0.1", "--nu0", "3", "--passes", "2",
+        "--t-tof-first", "6", "--t-tof-ref", "5.749",
     ],
 }
 
