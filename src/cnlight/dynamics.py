@@ -721,6 +721,35 @@ def _eigen_rows(tau, lam, c, rs, layout, out) -> None:
             np.matmul(v[:, sl], rs[m], out=out[first:first + t.size, sl])
 
 
+def _kernel_weights(tau, lam, c, r) -> np.ndarray:
+    """The weight sum |a_j|^2 of each kernel row a = (exp(-i lam tau[k]) * c) r,
+    ``r`` stacked (N, columns), with at most _ROW_BLOCK phases held at a time."""
+    out = np.empty(len(tau))
+    step = max(1, _ROW_BLOCK // lam.size)
+    for first in range(0, len(tau), step):
+        t = tau[first:first + step]
+        a = (np.exp(-1j * (t[:, None] * lam)) * c) @ r
+        out[first:first + t.size] = np.sum(np.abs(a) ** 2, axis=1)
+    return out
+
+
+def _check_kernel_weight(c, rs) -> None:
+    """Refuse kernel terms whose rows can have a total weight off 1 by more
+    than 1e-6.  A row (exp(-i lam tau) * c) R has the weight |c|^2 up to
+    ||R R^dag - I|| |c|^2 per sector, at every tau."""
+    if not (np.isfinite(c).all() and all(np.isfinite(r).all() for r in rs.values())):
+        raise ValidationError("exit states are not finite")
+    off = max(
+        np.linalg.norm(r @ r.conj().T - np.eye(len(r)), 2) for r in rs.values()
+    )
+    c2 = float(np.vdot(c, c).real)
+    if not abs(c2 - 1.0) + off * c2 <= 1e-6:
+        raise ValidationError(
+            f"exit states may carry a total weight off 1 by "
+            f"{abs(c2 - 1.0) + off * c2:.3g}"
+        )
+
+
 # ------------------------------------------------------------------
 # one propagator for every search
 # ------------------------------------------------------------------
@@ -777,20 +806,24 @@ class SectorPropagator:
     (:func:`_plateau_eigensystems`), and every exact state is a row of the
     kernel :func:`_eigen_rows`, (exp(-i lam tau) * c) R:
 
-    * **Every sector resonant** (Delta = 0): f(t) H_int commutes with
-      itself at all times, so phi(t) = W exp(-i A(t) lam) W^dag phi(0) for
-      any schedule and t, A(t) the pulse area of f (:func:`_pulse_area`):
-      tau = A(t), c = W^dag phi(0), R = W^T.
+    * **Every sector resonant** (Delta = 0, :attr:`resonant`): f(t) H_int
+      commutes with itself at all times, so
+      phi(t) = W exp(-i A(t) lam) W^dag phi(0) for any schedule and t,
+      A(t) the pulse area of f (:func:`_pulse_area`): tau = A(t),
+      c = W^dag phi(0), R = W^T.
     * **Otherwise, the exit state of a bump with t_tof >= 2**: entry ramp,
       plateau f = 1 and the mirrored exit ramp U_entry^T (f H_int + Delta
       is real symmetric and f(t_tof - t) = f(t)): tau = t_tof - 2,
       c = W^dag U_entry phi(0), R = W^T U_entry.  The entry ramps of all
       sectors take one DP45 run at DEFAULT_TOL, on the first such request.
     * **Anything else**: one :func:`integrate` call at SEARCH_TOL, for all
-      the times of a detuned :meth:`states_at` and for each detuned exit
-      state with t_tof < 2, whose ramps overlap.
+      the times of a detuned :meth:`states_at` (none when every time is 0)
+      and for each detuned exit state with t_tof < 2, whose ramps overlap.
 
-    The initial state is checked as :func:`integrate` checks it.
+    :meth:`exit_weight` scores exit states on a few stacked basis states
+    only: an exact exit state is then those columns of a kernel row, and
+    no state is built.  The initial state is checked as :func:`integrate`
+    checks it.
     """
 
     def __init__(self, initial: SystemState, config: AtomicConfig):
@@ -804,6 +837,11 @@ class SectorPropagator:
             self._closed = _kernel_terms(self._eig, self._sectors, self._phi0)
         self._flight = None
 
+    @property
+    def resonant(self) -> bool:
+        """Every sector resonant: every state is in closed form."""
+        return self._closed is not None
+
     def states_at(
         self, schedule: CouplingSchedule, times: Iterable[float]
     ) -> List[SystemState]:
@@ -814,24 +852,94 @@ class SectorPropagator:
         if self._closed is not None:
             areas = [_pulse_area(schedule, t) for t in times]
             return self._exact(self._closed, areas, times)
-        traj = integrate(
-            self._initial, self._config, schedule, max(times),
-            tol=SEARCH_TOL, snapshot_times=times, n_snapshots=1,
-        )
+        if max(times) == 0.0:
+            rows = np.tile(self._phi0, (len(times), 1))
+            traj = Trajectory(np.array(times), rows, self._sectors, IntegratorStats())
+            return [traj.state(k) for k in range(len(times))]
+        traj = self._integrated(schedule, times)
         return [traj.state_at(t) for t in times]
 
     def exit_states(self, t_tofs: Iterable[float]) -> List[SystemState]:
         """Physical amplitudes at the exit of a bump pass of each of
         ``t_tofs`` (finite, > 0)."""
-        t_tofs = [float(t) for t in t_tofs]
-        if not t_tofs or not all(0.0 < t < math.inf for t in t_tofs):
-            raise ValidationError(f"need finite times of flight > 0, got {t_tofs}")
+        t_tofs = _flight_times(t_tofs)
         bumps = [CouplingSchedule(mode="bump", t_tof=t) for t in t_tofs]
         if self._closed is not None:
             areas = [_pulse_area(b, t) for b, t in zip(bumps, t_tofs)]
             return self._exact(self._closed, areas, t_tofs)
         full = [t for t in t_tofs if t >= 2.0]
-        if full and self._flight is None:
+        tau = [t - 2.0 for t in full]
+        exits = iter(self._exact(self._flight_terms(), tau, full) if full else ())
+        # the shorter flights, whose ramps overlap, in order among the full ones
+        return [
+            next(exits) if t >= 2.0 else self.states_at(b, [t])[0]
+            for b, t in zip(bumps, t_tofs)
+        ]
+
+    def exit_weight(
+        self, columns: Sequence[int]
+    ) -> Callable[[Iterable[float]], np.ndarray]:
+        """The weight sum |a_j|^2 over the stacked basis states ``columns``
+        at the exit of a bump pass, as a function of the times of flight
+        (finite, > 0): one value per time.
+
+        An exact exit state (every one on a resonant configuration, t_tof
+        >= 2 otherwise) is read on those columns of the kernel only,
+        (exp(-i lam tau) * c) R[:, columns], from terms restricted once
+        here; the physical phase drops out of |a|^2.  A shorter detuned
+        flight takes its own integration, as in :meth:`exit_states`.
+        What :func:`~cnlight.observables.photon_weights` refuses is refused
+        here too, with ValidationError: a non-finite exit state, or one
+        whose total weight is off 1 by more than 1e-6.  An integrated state
+        is checked as it is; the rows of a kernel are checked once, from
+        the weight the kernel preserves (|c|^2, up to the distance of each
+        R R^dag from the identity).
+        """
+        columns = np.asarray(columns, dtype=int)
+
+        def restricted(terms):
+            lam, c, rs = terms
+            _check_kernel_weight(c, rs)
+            r = np.zeros((lam.size, columns.size), dtype=complex)
+            for m, (_, sl) in self._sectors.items():
+                inside = (columns >= sl.start) & (columns < sl.stop)
+                r[sl, inside] = rs[m][:, columns[inside] - sl.start]
+            return lam, c, r
+
+        closed = restricted(self._closed) if self._closed is not None else None
+        flight = None
+
+        def weight(t_tofs: Iterable[float]) -> np.ndarray:
+            nonlocal flight
+            t_tofs = _flight_times(t_tofs)
+            if closed is not None:
+                tau = [_pulse_area(CouplingSchedule(mode="bump", t_tof=t), t)
+                       for t in t_tofs]
+                return _kernel_weights(np.array(tau), *closed)
+            out = np.empty(len(t_tofs))
+            full = [k for k, t in enumerate(t_tofs) if t >= 2.0]
+            if full:
+                if flight is None:
+                    flight = restricted(self._flight_terms())
+                tau = np.array([t_tofs[k] - 2.0 for k in full])
+                out[full] = _kernel_weights(tau, *flight)
+            for k, t in enumerate(t_tofs):
+                if t < 2.0:
+                    b = CouplingSchedule(mode="bump", t_tof=t)
+                    w = np.abs(self._integrated(b, [t]).amplitudes[-1]) ** 2
+                    total = float(w.sum())
+                    if not abs(total - 1.0) <= 1e-6:   # NaN and inf fail too
+                        raise ValidationError(
+                            f"exit state at t_tof = {t} has weight {total}, not 1"
+                        )
+                    out[k] = w[columns].sum()
+            return out
+
+        return weight
+
+    def _flight_terms(self):
+        """Kernel terms of the exit states of full bumps, built on first use."""
+        if self._flight is None:
             # on [0, 1] the envelope of the shortest full bump is the entry ramp
             rhs = _frame_rhs(self._delta, self._h, functools.partial(bump, 2.0))
             [(_, u)], _ = integrate_ode(
@@ -841,13 +949,14 @@ class SectorPropagator:
             self._flight = lam, c, {
                 m: rs[m] @ u[sl, sl] for m, (_, sl) in self._sectors.items()
             }
-        tau = [t - 2.0 for t in full]
-        exits = iter(self._exact(self._flight, tau, full) if full else ())
-        # the shorter flights, whose ramps overlap, in order among the full ones
-        return [
-            next(exits) if t >= 2.0 else self.states_at(b, [t])[0]
-            for b, t in zip(bumps, t_tofs)
-        ]
+        return self._flight
+
+    def _integrated(self, schedule: CouplingSchedule, times: List[float]) -> Trajectory:
+        """One integration at SEARCH_TOL with ``times`` as snapshot times."""
+        return integrate(
+            self._initial, self._config, schedule, max(times),
+            tol=SEARCH_TOL, snapshot_times=times, n_snapshots=1,
+        )
 
     def _exact(self, terms, tau, times) -> List[SystemState]:
         """The states at ``times``: physical rows of the kernel at ``tau``."""
@@ -857,3 +966,11 @@ class SectorPropagator:
         rows = np.exp((-1j * self._e0)[None, :] * times[:, None]) * rows
         traj = Trajectory(times, rows, self._sectors, IntegratorStats())
         return [traj.state(k) for k in range(times.size)]
+
+
+def _flight_times(t_tofs: Iterable[float]) -> List[float]:
+    """``t_tofs`` as floats, refused unless finite and > 0."""
+    t_tofs = [float(t) for t in t_tofs]
+    if not t_tofs or not all(0.0 < t < math.inf for t in t_tofs):
+        raise ValidationError(f"need finite times of flight > 0, got {t_tofs}")
+    return t_tofs

@@ -17,9 +17,10 @@ its one-state case and ``reduce_field_blocks`` runs it over bounded blocks
 of rows.
 
 The Husimi function reads the same stripes.  The coherent-state overlaps
-c[nu, g] = <nu|alpha_g> are one (nu_max + 1, G) table, one contiguous row
-per photon number, and Q at every point is summed one diagonal of rho at
-a time, skipping the diagonals that hold only zeros.  A batch of fields on
+c[nu, g] = <nu|alpha_g> are one table of G points per photon number, one
+contiguous row each, with magnitudes only on the rows that rho's nonzero
+entries read, and Q at every point is summed one diagonal of rho at a
+time, skipping the diagonals that hold only zeros.  A batch of fields on
 the same points shares that one table.
 """
 
@@ -333,28 +334,25 @@ def linear_entropies(rhos: np.ndarray) -> np.ndarray:
 # Husimi function
 # ------------------------------------------------------------------
 
-def _coherent_overlaps(rho_r: np.ndarray, phi: np.ndarray, dim: int) -> np.ndarray:
-    """Table c[nu, g] = <nu|alpha_g> for alpha = rho_r e^{i phi}, shape (dim, G).
+def _coherent_overlaps(
+    rho_r: np.ndarray, phi: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Table c[nu, g] = <nu|alpha_g> for alpha = rho_r e^{i phi} on the
+    photon numbers ``rows`` (ascending), shape (rows[-1] + 1, G).
 
-    Each row nu is contiguous.  The magnitudes come from one real exp of
+    Each row nu is contiguous.  The phases are the powers z^nu of
+    z = e^{i phi}, one cos/sin pair per point and then one complex
+    multiply per row, for every nu up to rows[-1].  Only the rows in
+    ``rows`` are scaled by their magnitudes, each from one real exp of
     nu ln(rho_r) - lnGamma(nu+1)/2 - rho_r^2/2, the log domain keeping
-    large nu and large radius from overflowing; the phases are the powers
-    z^nu of z = e^{i phi}, one cos/sin pair per point and then one complex
-    multiply per row.
+    large nu and large radius from overflowing; the other rows hold bare
+    phases and must not be read.
     """
-    nu = np.arange(dim)
-    lg = np.array([math.lgamma(n + 1) for n in nu])
+    dim = int(rows[-1]) + 1
     log_r = np.log(rho_r, out=np.zeros_like(rho_r), where=rho_r > 0.0)
-    mag = np.exp(
-        nu[:, None] * log_r[None, :]
-        - 0.5 * lg[:, None]
-        - 0.5 * rho_r[None, :] ** 2
-    )
+    half_r2 = 0.5 * rho_r ** 2
     # at the origin only the vacuum overlap survives
-    zero = rho_r == 0.0
-    if np.any(zero):
-        mag[:, zero] = 0.0
-        mag[0, zero] = 1.0
+    zero = np.flatnonzero(rho_r == 0.0)
     c = np.empty((dim, len(rho_r)), dtype=complex)
     c[0] = 1.0
     if dim > 1:
@@ -362,8 +360,16 @@ def _coherent_overlaps(rho_r: np.ndarray, phi: np.ndarray, dim: int) -> np.ndarr
         c[1].imag = np.sin(phi)
     for n in range(2, dim):
         np.multiply(c[n - 1], c[1], out=c[n])
-    c.real *= mag
-    c.imag *= mag
+    mag = np.empty_like(rho_r)
+    for n in rows:
+        np.multiply(n, log_r, out=mag)
+        mag -= 0.5 * math.lgamma(n + 1)
+        mag -= half_r2
+        np.exp(mag, out=mag)
+        if n > 0:
+            mag[zero] = 0.0
+        c[n].real *= mag
+        c[n].imag *= mag
     return c
 
 
@@ -386,7 +392,10 @@ def husimi_values(rho: Fields, rho_r, phi) -> np.ndarray:
     ``rho`` is one FieldDensityMatrix, or a batch: a sequence of them of
     one dimension.  A batch shares one coherent-overlap table, and its Q
     gets a leading axis whose f-th entry is, bit for bit, the lone call on
-    rho[f].
+    rho[f].  The table carries magnitudes only on the support of the
+    batch, the photon numbers whose row of (the Hermitian part of) some
+    rho holds a nonzero entry: the only rows the sum reads.  Q is bit for
+    bit what the whole table gives.
 
     Radii must be finite and non-negative and angles finite, else
     ValidationError.  So is an empty batch or one of unequal dimensions,
@@ -415,13 +424,15 @@ def husimi_values(rho: Fields, rho_r, phi) -> np.ndarray:
             f"{len(fields)} fields at {rho_r.size} points make more than "
             f"{MAX_OVERLAPS} Q values"
         )
-    c = _coherent_overlaps(rho_r.ravel(), phi.ravel(), dims[0])
+    # Re <alpha|rho|alpha> only sees the Hermitian part of rho
+    parts = [0.5 * (field.rho + field.rho.conj().T) for field in fields]
+    # the stripe loop reads the overlaps of the rows of nonzero entries only
+    support = np.flatnonzero(np.any([r != 0 for r in parts], axis=(0, 1)))
+    c = _coherent_overlaps(rho_r.ravel(), phi.ravel(), support)
     q = np.empty((len(fields), c.shape[1]))
     total = np.empty(c.shape[1], dtype=complex)
     term = np.empty_like(total)
-    for field, out in zip(fields, q):
-        # Re <alpha|rho|alpha> only sees the Hermitian part of rho
-        r = 0.5 * (field.rho + field.rho.conj().T)
+    for r, out in zip(parts, q):
         # Q pi = sum_i rho_ii |c_i|^2 + 2 Re sum_{k>=1} sum_i rho_{i,i+k} conj(c_i) c_{i+k},
         # one pass per diagonal k of rho and one row product per nonzero
         # entry, so a two-sector state costs two passes.  The products stay

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +31,11 @@ from .dynamics import (
     SectorPropagator,
     SystemState,
     Trajectory,
+    _pulse_area,
     ground_product_state,
     integrate,
     product_state,
+    sector_layout,
 )
 from .errors import (
     MinimumNotFoundError,
@@ -50,7 +52,6 @@ from .observables import (
     linear_entropies,
     linear_entropy,
     photon_probabilities,
-    photon_weights,
     pure_field,
     reduce_field,
     reduce_fields,
@@ -233,19 +234,43 @@ def _state_from_field(
     return state
 
 
-def _exit_components(state: SystemState) -> Dict[int, complex]:
-    """Read-off photon amplitudes: the lowest of several sectors drains to
-    its fewest photons, every other one keeps its photons (atoms in ground)."""
-    ms = sorted(state.sectors)
-    components = {}
+def _read_off_indices(sectors: Mapping[int, tuple]) -> Dict[int, int]:
+    """Sector label -> basis index of its read-off component, for sectors
+    mapping each label to its basis first: the lowest of several sectors
+    drains to its fewest photons, every other one keeps its photons (atoms
+    in ground)."""
+    ms = sorted(sectors)
+    indices = {}
     for m in ms:
-        basis, amps = state.sectors[m]
+        basis = sectors[m][0]
         if m == ms[0] and len(ms) > 1:
-            i = int(np.argmin([s.nu for s in basis.states]))
+            indices[m] = int(np.argmin([s.nu for s in basis.states]))
         else:
-            i = basis.index(basis.na, basis.na)
-        components[basis.states[i].nu] = complex(amps[i])
-    return components
+            indices[m] = basis.index(basis.na, basis.na)
+    return indices
+
+
+def _exit_components(state: SystemState) -> Dict[int, complex]:
+    """Read-off photon amplitudes of an exit state."""
+    return {
+        state.sectors[m][0].states[i].nu: complex(state.sectors[m][1][i])
+        for m, i in _read_off_indices(state.sectors).items()
+    }
+
+
+def _read_off_columns(sectors: Mapping[int, tuple]) -> List[int]:
+    """Stacked basis states (``sector_layout`` order) that carry a read-off
+    photon number: the weight on them is 1 minus the leakage."""
+    layout = sector_layout(sectors)
+    nus = {
+        layout[m][0].states[i].nu for m, i in _read_off_indices(layout).items()
+    }
+    return [
+        sl.start + k
+        for basis, sl in layout.values()
+        for k, s in enumerate(basis.states)
+        if s.nu in nus
+    ]
 
 
 def _leakage(probs: np.ndarray, components: Dict[int, complex]) -> float:
@@ -293,18 +318,27 @@ def first_passage(
 ) -> PassageReport:
     """Send one ground-state ladder atom through |nu0>.
 
-    The exit time is placed at the local minimum of P(nu0 - 1): a coarse
-    0.01 grid around the predicted instant (the switching time, delayed by
-    the ramp area 1/2 for the bump envelope) followed by golden-section
-    refinement, each evaluated by :meth:`SectorPropagator.states_at`: in
-    closed form on a resonant configuration, otherwise by one integration
-    for the whole grid and one per refinement probe.  The reported pass always
-    goes through :func:`integrate` (under a bump with t_tof >= 2: DP45 on
-    the entry ramp, the plateau exact).  ``components``
-    ({nu0 - 2: c, nu0: c'}), when given, replace the read-off of the exit
-    amplitudes: the report hands on and certifies that field instead.
-    Raises MinimumNotFoundError when the minimum never drops below
-    EXIT_THRESHOLD.
+    The exit time is placed at the first zero of P(nu0 - 1), in a window
+    of half-width SEARCH_HALF_WIDTH around the predicted instant: the
+    switching time t_s, delayed by the ramp area 1/2 for the bump envelope.
+    On a resonant configuration P(nu0 - 1) is proportional to
+    sin^2(E A(t)), A(t) the pulse area, so it vanishes where A = t_s.
+    When that is the window's centre (the centre on the bump's plateau,
+    or constant coupling) and the window is not clipped at its low end,
+    the exit is the centre, and one :meth:`SectorPropagator.states_at`
+    call gives the P(nu0 - 1) reported there.  Otherwise a coarse 0.01
+    grid over the window is followed by golden-section refinement, each
+    evaluated by :meth:`SectorPropagator.states_at` (in closed form on a
+    resonant configuration, otherwise by one integration for the whole
+    grid and one per refinement probe); only grid points whose pulse area
+    lies in (t_s/2, 3 t_s/2) compete, so the scan takes neither the time
+    before the pulse has acted nor the second zero at 2 t_s.  The reported
+    pass always goes through :func:`integrate` (under a bump with
+    t_tof >= 2: DP45 on the entry ramp, the plateau exact).
+    ``components`` ({nu0 - 2: c, nu0: c'}), when given, replace the
+    read-off of the exit amplitudes: the report hands on and certifies
+    that field instead.  Raises MinimumNotFoundError when the minimum
+    never drops below EXIT_THRESHOLD.
     """
     if config.kind is not Kind.XI:
         raise ValidationError("the first passage needs a ladder configuration")
@@ -336,10 +370,28 @@ def first_passage(
             for state in propagator.states_at(schedule, times)
         ]
 
-    grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
-    t_exit, p_min = _scan_and_refine(
-        lambda t: p_mid([t])[0], grid, GOLDEN_TOL, p_mid
+    # on resonance P(nu0 - 1) ~ sin^2(E A(t)) vanishes where A(t) = t_s: at
+    # the centre when it lies on the bump's plateau or the coupling is
+    # constant, the grid point that the scan of an unclipped window lands on
+    zero_at_center = propagator.resonant and (
+        schedule.mode == "constant" or 1.0 <= center <= schedule.t_tof - 1.0
     )
+    if zero_at_center and center - SEARCH_HALF_WIDTH >= GRID_STEP:
+        t_exit = center
+        (p_min,) = p_mid([center])
+    else:
+        grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
+        areas = np.array([_pulse_area(schedule, t) for t in grid])
+        first_zero = (areas > 0.5 * t_s) & (areas < 1.5 * t_s)
+        if not first_zero.any():
+            raise MinimumNotFoundError(
+                f"no time in [{lo:.3f}, {hi:.3f}] has a pulse area near "
+                f"t_s = {t_s:.4g}"
+            )
+        t_exit, p_min = _scan_and_refine(
+            lambda t: p_mid([t])[0], grid, GOLDEN_TOL,
+            lambda times: np.where(first_zero, p_mid(times), np.inf),
+        )
     if p_min > EXIT_THRESHOLD:
         raise MinimumNotFoundError(
             f"P({nu0 - 1}) only reaches {p_min:.3g} in [{lo:.3f}, {hi:.3f}]"
@@ -390,16 +442,19 @@ def find_tof_for_cat(
     Scans the window (default [1, 20]) on a 0.05 grid for the time of
     flight minimizing the population outside the two target photon
     numbers (drained lower component, preserved upper), then refines by
-    golden section.  One :class:`SectorPropagator` gives the exit states
-    (``exit_states``) of the whole scan at once, and of each probe: one
-    exact kernel call for every candidate of a resonant configuration and
-    every detuned one with t_tof >= 2, and one integration from t = 0 per
-    shorter detuned candidate, whose ramps overlap.  The objective takes
-    the photon statistics of each exit state straight from its amplitudes
-    (:func:`photon_weights`), with no reduced field.  Raises
+    golden section.  Those photon numbers, and the stacked basis states
+    that carry them, depend only on the sectors of the field-atom state,
+    so they are fixed once per search; the objective is 1 minus the
+    weight on those basis states at the exit
+    (:meth:`SectorPropagator.exit_weight`).  The scan is one call, and so
+    is each probe: for every candidate of a resonant configuration and
+    every detuned one with t_tof >= 2, those columns of one exact kernel
+    call, with no exit state built; one integration from t = 0 per shorter
+    detuned candidate, whose ramps overlap.  Raises
     TargetUnreachableError (with the best point attached) if the achieved
     leakage stays above ``target``, and ValidationError for a window of
-    more than MAX_SCAN_POINTS candidates.
+    more than MAX_SCAN_POINTS candidates or for an exit state that is not
+    finite or not of unit weight (to 1e-6).
     """
     state = _state_from_field(field, config, na)
     if len(state.sectors) != 2:
@@ -419,14 +474,15 @@ def find_tof_for_cat(
     # the last step may land up to SCAN_STEP / 2 past the window: drop it
     # unless it is past by roundoff only
     candidates = candidates[candidates <= w1 + 1e-9 * SCAN_STEP]
-    propagator = SectorPropagator(state, config)
+    weight = SectorPropagator(state, config).exit_weight(
+        _read_off_columns(state.sectors)
+    )
 
-    def leakages(t_tofs: Sequence[float]) -> List[float]:
-        exits = propagator.exit_states(t_tofs)
-        return [_leakage(photon_weights(s), _exit_components(s)) for s in exits]
+    def leakages(t_tofs: Sequence[float]) -> np.ndarray:
+        return 1.0 - weight(t_tofs)
 
     t_best, leak_best = _scan_and_refine(
-        lambda t: leakages([t])[0], candidates, 1e-5, leakages
+        lambda t: float(leakages([t])[0]), candidates, 1e-5, leakages
     )
     if leak_best > target:
         raise TargetUnreachableError(

@@ -1379,3 +1379,21 @@ class TestSectorPropagator:
         for t_tof in (2.0, 3.3, 5.0, 7.5, 3.3):
             prop.exit_states([t_tof])
         assert ranks == [1, 2]      # one ramp run for both sectors
+
+    @pytest.mark.parametrize("deltas", [(0.0, 0.0), (0.1, 0.0)],
+                             ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.0]])
+    def test_times_at_zero_return_the_initial_state(self, deltas, times, monkeypatch):
+        # a detuned propagator once handed t_end = 0 to integrate, which
+        # refuses it, while the closed form returned the initial state
+        cfg = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=1.0,
+                           delta12=deltas[0], delta23=deltas[1])
+        state = make_superposition(1, 3, 0.5, 0.0, 1, cfg)
+        calls = spy_on_integrate(monkeypatch)
+        got = SectorPropagator(state, cfg).states_at(CONSTANT_SCHEDULE, times)
+        assert calls == []
+        assert len(got) == len(times)
+        for g in got:
+            assert sorted(g.sectors) == sorted(state.sectors)
+            for mm, (_, amps) in state.sectors.items():
+                np.testing.assert_allclose(g.sectors[mm][1], amps, rtol=0, atol=1e-15)

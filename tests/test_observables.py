@@ -586,6 +586,97 @@ class TestHusimiBatch:
         assert len(table) == 1
 
 
+def whole_overlap_table(rho_r, phi, dim):
+    """c[nu, g] on every row 0..dim - 1, magnitudes from one log-domain
+    exp over the whole (dim, G) array: the table before support rows."""
+    nu = np.arange(dim)
+    lg = np.array([math.lgamma(n + 1) for n in nu])
+    log_r = np.log(rho_r, out=np.zeros_like(rho_r), where=rho_r > 0.0)
+    mag = np.exp(
+        nu[:, None] * log_r[None, :] - 0.5 * lg[:, None] - 0.5 * rho_r[None, :] ** 2
+    )
+    zero = rho_r == 0.0
+    if np.any(zero):
+        mag[:, zero] = 0.0
+        mag[0, zero] = 1.0
+    c = np.empty((dim, len(rho_r)), dtype=complex)
+    c[0] = 1.0
+    if dim > 1:
+        c[1].real = np.cos(phi)
+        c[1].imag = np.sin(phi)
+    for n in range(2, dim):
+        np.multiply(c[n - 1], c[1], out=c[n])
+    c.real *= mag
+    c.imag *= mag
+    return c
+
+
+def sparse_rho(dim, support, seed):
+    """A random rho whose nonzero rows are ``support`` (within 0..dim - 1,
+    at least one), with some coherences between them zeroed in pairs."""
+    rng = np.random.default_rng(seed)
+    keep = np.zeros(dim, dtype=bool)
+    keep[[k for k in support if k < dim] or [0]] = True
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = (a @ a.conj().T) * np.outer(keep, keep)
+    cut = np.triu(rng.random((dim, dim)) < 0.3, 1)
+    rho[cut | cut.T] = 0.0
+    return FieldDensityMatrix(rho=rho / np.trace(rho).real)
+
+
+class TestHusimiSupport:
+    """Magnitudes on the support rows of rho only, against the whole table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 12),
+        supports=st.lists(
+            st.sets(st.integers(0, 11), min_size=1, max_size=4), min_size=1, max_size=4
+        ),
+        seed=st.integers(0, 2**16),
+        points=polar_points,
+    )
+    # a lone vacuum, a lone top row, and a batch with disjoint supports
+    @example(dim=1, supports=[{0}], seed=1, points=[(0.0, 0.0)])
+    @example(dim=8, supports=[{7}], seed=2, points=[(2.0, 1.0)])
+    @example(dim=9, supports=[{1, 5}, {0, 3}, {8}], seed=3, points=[(1.5, 0.2)])
+    def test_q_equals_the_whole_table_q(self, dim, supports, seed, points):
+        fields = [sparse_rho(dim, sup, seed + k) for k, sup in enumerate(supports)]
+        # the origin is always among the points
+        rad = np.array([0.0] + [r for r, _ in points])
+        ang = np.array([0.3] + [a for _, a in points])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(observables, "_coherent_overlaps",
+                       lambda r, p, rows: whole_overlap_table(r, p, dim))
+            want_batch = husimi_values(fields, rad, ang)
+            want_lone = [husimi_values(f, rad, ang) for f in fields]
+        assert np.array_equal(husimi_values(fields, rad, ang), want_batch)
+        for field, want in zip(fields, want_lone, strict=True):
+            assert np.array_equal(husimi_values(field, rad, ang), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sets(st.integers(0, 30), min_size=1, max_size=6),
+        points=polar_points,
+    )
+    def test_support_rows_equal_the_whole_table_rows(self, rows, points):
+        rows = np.array(sorted(rows))
+        rad = np.array([0.0] + [r for r, _ in points])
+        ang = np.array([0.3] + [a for _, a in points])
+        got = observables._coherent_overlaps(rad, ang, rows)
+        assert got.shape == (rows[-1] + 1, rad.size)
+        want = whole_overlap_table(rad, ang, rows[-1] + 1)
+        assert np.array_equal(got[rows], want[rows])
+
+    def test_rows_off_the_support_take_no_magnitude(self):
+        rad, ang = np.linspace(0.0, 3.0, 7), np.linspace(0.0, 1.0, 7)
+        c = observables._coherent_overlaps(rad, ang, np.array([1, 5]))
+        assert c.shape == (6, 7)
+        # bare powers of e^{i phi}, of modulus 1
+        np.testing.assert_allclose(np.abs(c[[0, 2, 3, 4]]), 1.0, rtol=0, atol=1e-15)
+        assert np.all(np.abs(c[[1, 5], 1:]) < 1.0)
+
+
 class TestHusimiTwoFock:
     def test_origin_value(self):
         # only the nu = 0 component survives at the origin

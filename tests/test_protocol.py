@@ -1,13 +1,16 @@
 """Passage orchestration: exit-time searches, read-off fields, chained passes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cnlight import dynamics, protocol
 from cnlight.analytic_core import balanced_coupling, switching_time
-from cnlight.dynamics import CONSTANT_SCHEDULE, CouplingSchedule
+from cnlight.dynamics import CONSTANT_SCHEDULE, CouplingSchedule, SectorPropagator
 from cnlight.errors import (
     MinimumNotFoundError,
     NonPureFieldError,
@@ -15,14 +18,19 @@ from cnlight.errors import (
     ValidationError,
 )
 from cnlight.hilbert import AtomicConfig, Kind
-from cnlight.observables import FieldDensityMatrix, pure_field
+from cnlight.observables import FieldDensityMatrix, photon_weights, pure_field
 from cnlight.protocol import (
     REFERENCE_CATS,
+    GRID_STEP,
     SCAN_STEP,
+    SEARCH_HALF_WIDTH,
     PassSpec,
     ProtocolSpec,
+    _exit_components,
     _golden_min,
+    _leakage,
     _read_off,
+    _read_off_columns,
     _scan_and_refine,
     _state_from_field,
     find_tof_for_cat,
@@ -219,6 +227,104 @@ class TestFirstPassage:
         assert ranks and set(ranks) == {1}
 
 
+def spy_on_scans(monkeypatch):
+    """Record the grid of every scan-and-refine search."""
+    grids = []
+    real = protocol._scan_and_refine
+
+    def spy(f, grid, *args, **kwargs):
+        grids.append(grid)
+        return real(f, grid, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_scan_and_refine", spy)
+    return grids
+
+
+class TestFirstExit:
+    """The exit at the first zero of P(nu0 - 1), in closed form where it is
+    the centre of the window."""
+
+    @pytest.mark.parametrize("nu0,want", [(26, 0.86033), (30, 0.83474)])
+    def test_bump_exit_where_the_pulse_area_reaches_t_s(self, nu0, want):
+        # the window opens where the pulse area is still about 0, and so is
+        # P(nu0 - 1): the scan once exited there (theta = pi/2, the atom
+        # did nothing), and a second pass refused the one-component field
+        report = first_passage(nu0, REF, CouplingSchedule(mode="bump", t_tof=8.0))
+        assert report.exit_time == pytest.approx(want, abs=1e-5)
+        assert report.probabilities[nu0 - 2] == pytest.approx(0.90, abs=0.01)
+        assert sorted(_state_from_field(report.field, REF, 1).sectors) == [
+            nu0 - 2, nu0
+        ]
+
+    @pytest.mark.parametrize("nu0", [10, 11, 13])
+    def test_constant_exit_at_the_first_zero(self, nu0):
+        # the clipped window holds t_s and 2 t_s; at 2 t_s the field is back
+        # to |nu0>, which the refinement once picked
+        report = first_passage(nu0, REF, CONSTANT_SCHEDULE)
+        assert report.exit_time == pytest.approx(switching_time(REF, nu0), abs=1e-5)
+        assert report.probabilities[nu0] < 0.1
+        if nu0 == 10:
+            assert report.exit_time == pytest.approx(0.593705, abs=1e-5)
+
+    def test_no_window_point_near_t_s(self):
+        # a bump of 1 never reaches a pulse area of t_s / 2 = 0.59
+        with pytest.raises(MinimumNotFoundError, match="pulse area"):
+            first_passage(3, REF, CouplingSchedule(mode="bump", t_tof=1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nu0=st.integers(2, 17),
+        mu12=st.floats(0.3, 1.5),
+        mu23=st.floats(0.3, 1.5),
+        mode=st.sampled_from(["bump", "constant"]),
+        t_tof=st.floats(2.0, 10.0),
+    )
+    @example(nu0=3, mu12=1.0, mu23=math.sqrt(2.0), mode="bump", t_tof=8.0)
+    @example(nu0=13, mu12=1.0, mu23=math.sqrt(2.0), mode="bump", t_tof=3.2)
+    @example(nu0=6, mu12=1.0, mu23=math.sqrt(2.0), mode="constant", t_tof=2.0)
+    @example(nu0=17, mu12=0.3, mu23=0.5, mode="bump", t_tof=8.0)
+    def test_closed_form_exit_matches_the_scan(self, nu0, mu12, mu23, mode, t_tof):
+        cfg = AtomicConfig(kind=Kind.XI, mu12=mu12, mu23=mu23)
+        t_s = switching_time(cfg, nu0)
+        if mode == "bump":
+            sched, center = CouplingSchedule(mode="bump", t_tof=t_tof), t_s + 0.5
+            assume(1.0 <= center <= t_tof - 1.0)
+        else:
+            sched, center = CONSTANT_SCHEDULE, t_s
+        assume(center - SEARCH_HALF_WIDTH >= GRID_STEP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # nu0 = 2
+            fast = first_passage(nu0, cfg, sched)
+            with pytest.MonkeyPatch.context() as mp:
+                scans = spy_on_scans(mp)
+                mp.setattr(SectorPropagator, "resonant", property(lambda self: False))
+                scanned = first_passage(nu0, cfg, sched)
+        assert len(scans) == 1
+        assert fast.exit_time == center
+        assert abs(fast.exit_time - scanned.exit_time) <= 1e-12
+        assert fast.min_probability <= 1e-20 and scanned.min_probability <= 1e-20
+        np.testing.assert_allclose(
+            fast.probabilities, scanned.probabilities, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("config,nu0,schedule,scanned", [
+        (REF, 3, CouplingSchedule(mode="bump", t_tof=8.0), False),
+        (REF, 5, CONSTANT_SCHEDULE, False),
+        (AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0),
+                      delta12=0.1, delta23=-0.1),
+         3, CouplingSchedule(mode="bump", t_tof=8.0), True),     # detuned
+        (REF, 10, CONSTANT_SCHEDULE, True),                       # clipped window
+        # the centre on the entry ramp, then on the exit ramp
+        (REF, 20, CouplingSchedule(mode="bump", t_tof=8.0), True),
+        (REF, 3, CouplingSchedule(mode="bump", t_tof=2.5), True),
+    ], ids=["bump", "constant", "detuned", "clipped", "entry ramp", "exit ramp"])
+    def test_scan_runs_off_the_closed_form(self, config, nu0, schedule, scanned,
+                                           monkeypatch):
+        scans = spy_on_scans(monkeypatch)
+        first_passage(nu0, config, schedule)
+        assert len(scans) == int(scanned)
+
+
 # ---------------------------------------------------------------------------
 # later passes
 
@@ -343,6 +449,70 @@ class TestFindTofForCat:
             find_tof_for_cat(field, REF, window=(0.0, 5.0))
         with pytest.raises(ValidationError):
             find_tof_for_cat(field, REF, window=(5.0, 2.0))
+
+
+class TestLeakageObjective:
+    """The search objective on the read-off columns against the leakage of
+    each whole exit state (photon_weights and the read-off components)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        na=st.integers(1, 3),
+        cat=st.sampled_from([(1, 3), (3, 5), (1, 5), (0, 2), (2, 7)]),
+        theta=st.floats(0.2, 1.3),
+        xi=st.floats(0.0, 2.0 * math.pi),
+        detuned=st.booleans(),
+        t_tofs=st.lists(st.floats(0.5, 8.0), min_size=1, max_size=5),
+    )
+    @example(na=1, cat=(1, 3), theta=math.pi / 4, xi=0.0, detuned=True,
+             t_tofs=[1.999, 2.0, 5.749])
+    @example(na=3, cat=(3, 5), theta=0.7, xi=1.0, detuned=False,
+             t_tofs=[0.5, 1.999, 2.0, 4.51])
+    @example(na=2, cat=(1, 5), theta=1.0, xi=2.0, detuned=True, t_tofs=[1.5, 2.685])
+    def test_columns_match_the_photon_weights(
+        self, na, cat, theta, xi, detuned, t_tofs
+    ):
+        config = DETUNED if detuned else REF
+        state = _state_from_field(two_fock_field(*cat, theta, xi), config, na)
+        prop = SectorPropagator(state, config)
+        want = [
+            _leakage(photon_weights(s), _exit_components(s))
+            for s in prop.exit_states(t_tofs)
+        ]
+        got = 1.0 - prop.exit_weight(_read_off_columns(state.sectors))(t_tofs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("config,window", [
+        (REF, (4.9, 5.1)),          # resonant kernel
+        (DETUNED, (4.9, 5.1)),      # detuned flight kernel
+        (DETUNED, (1.4, 1.6)),      # one integration per flight
+    ], ids=["resonant", "flight", "short flights"])
+    @pytest.mark.parametrize("scale", [1.01, math.nan], ids=["weight 1.02", "nan"])
+    def test_exit_state_off_unit_weight_is_refused(self, config, window, scale,
+                                                   monkeypatch):
+        # every exit state scaled: the terms of each kernel, or each
+        # integrated row; photon_weights refuses them, and so does the search
+        real_terms = dynamics._kernel_terms
+        real_integrate = dynamics.integrate
+
+        def scaled_terms(*args):
+            lam, c, rs = real_terms(*args)
+            return lam, scale * c, rs
+
+        def scaled_integrate(*args, **kwargs):
+            traj = real_integrate(*args, **kwargs)
+            traj.amplitudes[...] *= scale
+            return traj
+
+        monkeypatch.setattr(dynamics, "_kernel_terms", scaled_terms)
+        monkeypatch.setattr(dynamics, "integrate", scaled_integrate)
+        field = two_fock_field(1, 3, math.pi / 4)
+        state = _state_from_field(field, config, 1)
+        (exit_state,) = SectorPropagator(state, config).exit_states([window[0]])
+        with pytest.raises(ValidationError, match="weight"):
+            photon_weights(exit_state)
+        with pytest.raises(ValidationError, match="weight|finite"):
+            find_tof_for_cat(field, config, target=1.0, window=window)
 
 
 # ---------------------------------------------------------------------------
