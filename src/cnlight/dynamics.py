@@ -337,6 +337,12 @@ _DP_P = np.array([
 _DP_ROWS = np.array(
     [np.pad(row, (0, 7 - row.size)) for row in _DP_A] + [_DP_E], dtype=complex
 )
+# Stage i's input, y + h sum_j a_ij k_j, is row i of _STEP_ROWS times the
+# (8, N) array of a step, y as row 0 above the seven stages: a leading 1 for
+# y, then row i of _DP_ROWS, whose columns integrate_ode scales by h once per
+# attempt.  The error estimate takes _DP_ROWS[7] over the stages alone, h
+# folded into its norm as a scalar.
+_STEP_ROWS = np.hstack([np.ones((7, 1)), _DP_ROWS[:7]])
 
 
 @dataclass
@@ -361,40 +367,71 @@ def integrate_ode(
     snapshot time: a time inside a step is read off the 4th-order
     continuous extension of that step, and a time at a step's end (t_end
     included) takes the step's own 5th-order solution.  The local error of
-    each step is kept below ``tol`` in a mixed absolute/relative sense;
-    rejected attempts are counted.  The state is never renormalized --
-    norm drift is a diagnostic, not a knob.  Raises
+    each step is kept below ``tol`` in a mixed absolute/relative sense, the
+    RMS of err / (1 + max(|y|, |y5|)) over the flattened state; rejected
+    attempts are counted.  The state is never renormalized -- norm drift is
+    a diagnostic, not a knob.
+
+    A step works on one (8, N) array, N the size of the state: the state y
+    as row 0 above the seven stages.  Each stage input, y + h sum_j a_ij k_j,
+    is one coefficient row of _STEP_ROWS times that array, the rows scaled
+    by h once per attempt; the error estimate is one row of _DP_ROWS times
+    the stages, with h and tol folded into its norm as scalars.  An accepted
+    step with snapshot times inside it keeps a copy of its array, and the
+    kept steps are read off together, one weight row per snapshot
+    (:class:`_DenseOutput`): once they and their snapshot values reach
+    _ROW_BLOCK amplitudes, and at the end of the run.  Beside the samples it
+    returns, the dense output then holds a few _ROW_BLOCKs of amplitudes at
+    most, whatever the number of steps and snapshots.
+
+    Refuses (ValidationError) a non-finite ``t0`` or ``t_end``, ``t_end <
+    t0``, a ``tol`` below machine epsilon (its error estimates would be
+    roundoff) and a snapshot time outside [t0, t_end] (NaN too).  Raises
     :class:`StepSizeUnderflowError` if stiffness forces the step below
     ``MIN_STEP``.
     """
+    if not (math.isfinite(t0) and math.isfinite(t_end) and t_end >= t0):
+        raise ValidationError(f"need a finite span t0 <= t_end, got [{t0}, {t_end}]")
+    if not tol >= np.finfo(float).eps:
+        raise ValidationError(
+            f"need tol >= {np.finfo(float).eps:.3g} (machine epsilon), got {tol}"
+        )
+    times = np.asarray(dense_times, dtype=float).ravel()
+    if not np.all((times >= t0 - 1e-15) & (times <= t_end + 1e-15)):   # NaN too
+        raise ValidationError("snapshot times must lie inside the span")
+    targets = times.tolist()
+    order = np.argsort(times, kind="stable").tolist()
     stats = IntegratorStats()
     y = np.array(y0, dtype=complex)
     shape = y.shape
+    flat = y.ndim == 1
     y = y.ravel()
+    n = y.size
     t = t0
-    targets = [float(x) for x in dense_times]
-    if any(x < t0 - 1e-15 or x > t_end + 1e-15 for x in targets):
-        raise ValidationError("snapshot times must lie inside the span")
     out: list = [None] * len(targets)
-    order = sorted(range(len(targets)), key=lambda i: targets[i])
     pos = 0
     # record anything sitting exactly at t0
     while pos < len(order) and targets[order[pos]] <= t0 + 1e-15:
         out[order[pos]] = (t0, y.reshape(shape).copy())
         pos += 1
 
-    # the stages of one step, each flat; ``ks[i] = ...`` writes stage i in
-    # the shape of y, and stage i's input reads a_rows[i] @ heads[i]
-    stages = np.zeros((7, y.size), dtype=complex)
-    ks = stages.reshape((7,) + shape)
-    heads = [stages[:i] for i in range(7)]
-    a_rows = [_DP_ROWS[i, :i] for i in range(7)]
-    c = _DP_C.tolist()
+    # the step's array, y above the stages; ``ks[i + 1] = ...`` writes stage
+    # i in the shape of y, and stage i's input reads rows[i] over arr[:i + 1]
+    arr = np.zeros((8, n), dtype=complex)
+    arr[0] = y
+    ks = arr.reshape((8,) + shape)
+    rows = _STEP_ROWS.copy()
+    rows_h = rows[:, 1:]
+    inputs = [(i + 1, rows[i, :i + 1], arr[:i + 1], c)
+              for i, c in enumerate(_DP_C.tolist()) if i > 0]
+    err_row, stages = _DP_ROWS[7], arr[1:]
+    dense = _DenseOutput(times, targets, out, shape)
 
-    ks[0] = f(t, y.reshape(shape))
+    ks[1] = f(t, y if flat else y.reshape(shape))
+    abs_y = np.abs(y)
     span = t_end - t0
-    scale0 = tol + tol * float(np.max(np.abs(y))) if y.size else tol
-    f0 = float(np.max(np.abs(stages[0]))) if y.size else 0.0
+    scale0 = tol + tol * float(np.max(abs_y)) if n else tol
+    f0 = float(np.max(np.abs(arr[1]))) if n else 0.0
     h = min(span, 0.1 * scale0 / f0 if f0 > 0 else 0.1 * span, 0.1 * span)
     h = max(h, MIN_STEP)
 
@@ -406,16 +443,17 @@ def integrate_ode(
                 f"step size underflow at t={t:.6g} (h={h:.3g})"
             )
 
-        for i in range(1, 7):
-            yi = y + h_try * a_rows[i].dot(heads[i])
-            ks[i] = f(t + c[i] * h_try, yi.reshape(shape))
+        np.multiply(_DP_ROWS[:7], h_try, out=rows_h)
+        for k, row, head, c in inputs:
+            yi = row.dot(head)
+            ks[k] = f(t + c * h_try, yi if flat else yi.reshape(shape))
         y5 = yi   # the last stage input is the 5th-order solution (FSAL)
-        err = h_try * _DP_ROWS[7].dot(stages)
-
-        sc = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        r2 = np.abs(err / sc) ** 2
-        # np.mean's own sum and division, without its per-call dispatch
-        err_norm = math.sqrt(float(np.add.reduce(r2, axis=None)) / r2.size)
+        err = err_row.dot(stages)
+        abs_y5 = np.abs(y5)
+        scale = np.maximum(abs_y, abs_y5)
+        scale += 1.0
+        err /= scale
+        err_norm = h_try * math.sqrt(np.vdot(err, err).real / max(n, 1)) / tol
 
         if err_norm <= 1.0:
             stats.steps += 1
@@ -430,14 +468,11 @@ def integrate_ode(
                     out[k] = (t_new, y5.reshape(shape).copy())
                 pos += 1
             if inside:
-                s = (np.array([targets[k] for k in inside]) - t) / h_try
-                b = (s[:, None] ** np.arange(1, 5)) @ _DP_P.T
-                ys = y + h_try * (b @ stages)
-                for k, yk in zip(inside, ys):
-                    out[k] = (targets[k], yk.reshape(shape))
+                dense.keep(arr, t, h_try, inside)
             t = t_new
-            y = y5
-            stages[0] = stages[6]  # first-same-as-last
+            y, abs_y = y5, abs_y5
+            arr[0] = y5
+            arr[1] = arr[7]  # first-same-as-last
             factor = 5.0 if err_norm == 0.0 else min(
                 5.0, max(0.2, 0.9 * err_norm ** -0.2)
             )
@@ -450,11 +485,76 @@ def integrate_ode(
                     f"step size underflow at t={t:.6g} "
                     f"(local error {err_norm:.3g} x tol)"
                 )
+    dense.read_off()
     # anything not consumed sits at t_end up to roundoff
     while pos < len(order):
         out[order[pos]] = (t, y.reshape(shape).copy())
         pos += 1
     return out, stats
+
+
+class _DenseOutput:
+    """Snapshots inside accepted steps, read off a batch of steps at a time.
+
+    A snapshot at t + s h inside a step is y + h b(s) . k, with
+    b_i(s) = sum_p _DP_P[i, p] s^(p+1): one weight row [1, h b(s)] times
+    the step's (8, N) array, y above the stages.  :meth:`keep` copies the
+    array of a step that holds snapshots; once the kept arrays and their
+    snapshot values reach _ROW_BLOCK amplitudes, or one step alone does,
+    :meth:`read_off` writes ``out[k] = (targets[k], y)`` for all of them.
+    """
+
+    def __init__(self, times: np.ndarray, targets: List[float], out: list,
+                 shape: Tuple[int, ...]):
+        # ``targets`` is ``times`` as a list of floats
+        self._times, self._targets, self._out, self._shape = times, targets, out, shape
+        self._n = math.prod(shape)
+        # kept steps never outnumber the snapshots
+        self._cap = max(1, min(_ROW_BLOCK // max(8 * self._n, 1), len(targets)))
+        self._arrays = None   # allocated on the first kept step
+        self._t: List[float] = []
+        self._h: List[float] = []
+        self._counts: List[int] = []
+        self._snaps: List[int] = []
+
+    def keep(self, arr: np.ndarray, t: float, h: float, inside: List[int]) -> None:
+        """Keep a copy of ``arr``, the step from t of length h, for the
+        snapshot indices ``inside``; read the batch off once it is full."""
+        if self._arrays is None:
+            self._arrays = np.empty((self._cap, 8, self._n), dtype=complex)
+        self._arrays[len(self._t)] = arr
+        self._t.append(t)
+        self._h.append(h)
+        self._counts.append(len(inside))
+        self._snaps.extend(inside)
+        held = (8 * len(self._t) + len(self._snaps)) * self._n
+        if len(self._t) == self._cap or held >= _ROW_BLOCK:
+            self.read_off()
+
+    def read_off(self) -> None:
+        """Write the kept snapshots into ``out`` and empty the batch: one
+        weighted sum of gathered step arrays per block of at most
+        _ROW_BLOCK amplitudes."""
+        if not self._snaps:
+            return
+        steps = np.repeat(np.arange(len(self._t)), self._counts)
+        snaps = np.array(self._snaps)
+        t_step, h_step = np.array(self._t), np.array(self._h)
+        values = np.empty((snaps.size, self._n), dtype=complex)
+        block = max(1, _ROW_BLOCK // max(8 * self._n, 1))
+        p = _DP_P
+        for first in range(0, snaps.size, block):
+            j = steps[first:first + block]
+            h = h_step[j][:, None]
+            s = (self._times[snaps[first:first + block], None] - t_step[j, None]) / h
+            terms = self._arrays[j]
+            terms[:, 1:] *= (h * ((((p[:, 3] * s + p[:, 2]) * s + p[:, 1]) * s
+                                   + p[:, 0]) * s))[:, :, None]
+            np.sum(terms, axis=1, out=values[first:first + block])
+        for k, y in zip(self._snaps, values.reshape((snaps.size,) + self._shape)):
+            self._out[k] = (self._targets[k], y)
+        for kept in (self._t, self._h, self._counts, self._snaps):
+            kept.clear()
 
 
 # ------------------------------------------------------------------
@@ -850,14 +950,20 @@ class SectorPropagator:
         if not times or not all(0.0 <= t < math.inf for t in times):
             raise ValidationError(f"need finite times >= 0, got {times}")
         if self._closed is not None:
-            areas = [_pulse_area(schedule, t) for t in times]
-            return self._exact(self._closed, areas, times)
+            return self._at_areas([_pulse_area(schedule, t) for t in times], times)
         if max(times) == 0.0:
             rows = np.tile(self._phi0, (len(times), 1))
             traj = Trajectory(np.array(times), rows, self._sectors, IntegratorStats())
             return [traj.state(k) for k in range(len(times))]
         traj = self._integrated(schedule, times)
         return [traj.state_at(t) for t in times]
+
+    def _at_areas(
+        self, areas: Sequence[float], times: Sequence[float]
+    ) -> List[SystemState]:
+        """The closed-form states at ``times`` (every sector resonant), whose
+        pulse areas the caller has taken: ``areas``."""
+        return self._exact(self._closed, areas, times)
 
     def exit_states(self, t_tofs: Iterable[float]) -> List[SystemState]:
         """Physical amplitudes at the exit of a bump pass of each of

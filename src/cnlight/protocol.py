@@ -364,11 +364,11 @@ def first_passage(
 
     propagator = SectorPropagator(initial, config)
 
-    def p_mid(times: Sequence[float]) -> List[float]:
-        return [
-            float(abs(state.sectors[nu0][1][idx_mid]) ** 2)
-            for state in propagator.states_at(schedule, times)
-        ]
+    def p_mid(states: Sequence[SystemState]) -> List[float]:
+        return [float(abs(state.sectors[nu0][1][idx_mid]) ** 2) for state in states]
+
+    def p_mid_at(times: Sequence[float]) -> List[float]:
+        return p_mid(propagator.states_at(schedule, times))
 
     # on resonance P(nu0 - 1) ~ sin^2(E A(t)) vanishes where A(t) = t_s: at
     # the centre when it lies on the bump's plateau or the coupling is
@@ -378,7 +378,7 @@ def first_passage(
     )
     if zero_at_center and center - SEARCH_HALF_WIDTH >= GRID_STEP:
         t_exit = center
-        (p_min,) = p_mid([center])
+        (p_min,) = p_mid_at([center])
     else:
         grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
         areas = np.array([_pulse_area(schedule, t) for t in grid])
@@ -388,9 +388,15 @@ def first_passage(
                 f"no time in [{lo:.3f}, {hi:.3f}] has a pulse area near "
                 f"t_s = {t_s:.4g}"
             )
+
+        def scan(times: np.ndarray) -> np.ndarray:
+            # the closed form takes the grid's areas from the mask above
+            states = (propagator._at_areas(areas, times) if propagator.resonant
+                      else propagator.states_at(schedule, times))
+            return np.where(first_zero, p_mid(states), np.inf)
+
         t_exit, p_min = _scan_and_refine(
-            lambda t: p_mid([t])[0], grid, GOLDEN_TOL,
-            lambda times: np.where(first_zero, p_mid(times), np.inf),
+            lambda t: p_mid_at([t])[0], grid, GOLDEN_TOL, scan
         )
     if p_min > EXIT_THRESHOLD:
         raise MinimumNotFoundError(

@@ -468,6 +468,174 @@ class TestIntegrateOde:
                 linear_rhs(np.eye(1)), np.ones(1, complex), 0.0, 1.0, 1e-9, [2.0]
             )
 
+    # an infinite t_end once ran the loop until it was killed, and a NaN one
+    # returned y0 for a request at 0.5
+    @pytest.mark.parametrize("t0,t_end", [
+        (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+        (1.0, 0.5),
+    ], ids=["t_end=nan", "t_end=inf", "t0=nan", "t0=-inf", "t_end<t0"])
+    def test_non_finite_or_reversed_span_is_refused(self, t0, t_end):
+        with pytest.raises(ValidationError, match="span"):
+            integrate_ode(linear_rhs(-1j * np.eye(1)), np.ones(1, complex),
+                          t0, t_end, 1e-9, [0.5])
+
+    # a NaN request once came back as the state at t_end
+    @pytest.mark.parametrize("times", [
+        [0.5, math.nan], [math.nan], [math.inf], [-math.inf, 0.5],
+    ], ids=["0.5,nan", "nan", "inf", "-inf,0.5"])
+    def test_non_finite_snapshot_time_is_refused(self, times):
+        with pytest.raises(ValidationError, match="snapshot times"):
+            integrate_ode(linear_rhs(-1j * np.eye(1)), np.ones(1, complex),
+                          0.0, 1.0, 1e-9, times)
+
+    # a NaN tol once ran until the step size underflowed
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, 1e-17])
+    def test_tolerance_below_machine_epsilon_is_refused(self, tol):
+        with pytest.raises(ValidationError, match="machine epsilon"):
+            integrate_ode(linear_rhs(-1j * np.eye(1)), np.ones(1, complex),
+                          0.0, 1.0, tol, [1.0])
+
+
+def ramp_rhs(state, cfg, schedule=CouplingSchedule(mode="bump", t_tof=6.0)):
+    """The rotating-frame right-hand side of ``state``'s sectors under
+    ``schedule`` (by default a bump, whose entry ramp is [0, 1]), and the
+    stacked initial vector."""
+    layout, e, e0, h = dynamics._block_system(state.sectors, cfg)
+    y0 = np.concatenate([state.sectors[m][1] for m in layout])
+    return _frame_rhs(e - e0, h, schedule.envelope), y0
+
+
+def accepted_step_ends(f, y0, t0, t_end, tol):
+    """The end of every accepted step of a run but the last.  Each attempt
+    calls f six times, the last at its end t + h; an accepted step's end is
+    where the next attempt starts, so the next attempt ends later, while a
+    rejected one is retried from its start with a shorter step."""
+    calls = []
+
+    def recording(t, y):
+        calls.append(t)
+        return f(t, y)
+
+    integrate_ode(recording, y0, t0, t_end, tol, [t_end])
+    ends = calls[6::6]   # call 0 is the first stage at t0
+    return [e for e, after in zip(ends, ends[1:]) if after > e]
+
+
+class TestStepLoop:
+    """The attempt loop of integrate_ode: its step counts, its batches of
+    dense output and their memory."""
+
+    def test_step_counts_are_pinned(self, monkeypatch):
+        # counts of the one-product-per-stage-input loop, equal to those of
+        # the loop that formed each stage input in three products
+        from cnlight import protocol
+
+        runs = []
+        real = dynamics.integrate_ode
+
+        def recording(*args, **kwargs):
+            samples, stats = real(*args, **kwargs)
+            runs.append((stats.steps, stats.rejected))
+            return samples, stats
+
+        monkeypatch.setattr(dynamics, "integrate_ode", recording)
+        # the README's second pass: its entry and exit ramps, 159 attempts
+        spec = protocol.ProtocolSpec(
+            config=REF, nu0=3, theta=math.pi / 4,
+            passes=(
+                protocol.PassSpec(schedule=CouplingSchedule(mode="bump", t_tof=8.0)),
+                protocol.PassSpec(
+                    schedule=CouplingSchedule(mode="bump", t_tof=5.749),
+                    exit_policy="search",
+                ),
+            ),
+        )
+        protocol.run_protocol(spec)
+        assert runs[-2:] == [(69, 7), (82, 1)]
+        # the na = 3 entry-ramp matrix run of a detuned flight propagator
+        runs.clear()
+        cfg = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0),
+                           delta12=0.1, delta23=-0.1)
+        SectorPropagator(make_superposition(1, 3, math.pi / 4, 0.0, 3, cfg),
+                         cfg)._flight_terms()
+        assert runs == [(84, 5)]
+        # a constant-coupling run read off at 1000 snapshots
+        runs.clear()
+        integrate(ground_product_state(REF, 3), REF, CONSTANT_SCHEDULE, 4.0,
+                  n_snapshots=1000)
+        assert runs == [(362, 0)]
+
+    @pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
+    def test_batches_leave_the_samples_bit_for_bit(self, matrix, monkeypatch):
+        cfg = AtomicConfig(kind=Kind.XI, mu12=1.0, mu23=math.sqrt(2.0),
+                           delta12=0.1, delta23=-0.1)
+        rhs, y0 = ramp_rhs(make_superposition(1, 3, math.pi / 4, 0.3, 1, cfg), cfg)
+        if matrix:
+            y0 = np.eye(y0.size, dtype=complex)
+        ends = accepted_step_ends(rhs, y0, 0.0, 1.0, DEFAULT_TOL)
+        # t0, times inside steps, step ends and t_end, not in order
+        times = [1.0, *ends[::4], 0.0, *np.linspace(0.0, 1.0, 157)[1:-1]]
+        whole, whole_stats = integrate_ode(rhs, y0, 0.0, 1.0, DEFAULT_TOL, times)
+        assert [t for t, _ in whole] == times
+        assert len(ends) > 20
+
+        batches = []
+        real = dynamics._DenseOutput.read_off
+
+        def counting(self):
+            batches.append(len(self._snaps))
+            real(self)
+
+        monkeypatch.setattr(dynamics._DenseOutput, "read_off", counting)
+        for row_block in (1, 9 * y0.size, 300 * y0.size):
+            batches.clear()
+            monkeypatch.setattr(dynamics, "_ROW_BLOCK", row_block)
+            got, stats = integrate_ode(rhs, y0, 0.0, 1.0, DEFAULT_TOL, times)
+            assert sum(n > 0 for n in batches) > 2
+            assert (stats.steps, stats.rejected) == (
+                whole_stats.steps, whole_stats.rejected)
+            for (t, y), (t_want, y_want) in zip(got, whole):
+                assert t == t_want
+                assert y.shape == y_want.shape
+                assert y.tobytes() == y_want.tobytes()
+
+    def test_dense_output_of_a_ramp_holds_a_bounded_batch(self):
+        # one 231-state sector (na = 20) on the entry ramp, 200 snapshots in
+        # 166 steps: all kept step arrays at once would take 4.9 MB beside
+        # the samples, and so would every snapshot's gathered step array;
+        # a batch takes at most _ROW_BLOCK amplitudes of kept arrays and as
+        # many gathered at a time
+        rhs, y0 = ramp_rhs(ground_product_state(REF, 40, na=20), REF)
+
+        def traced(times):
+            tracemalloc.start()
+            try:
+                samples, stats = integrate_ode(rhs, y0, 0.0, 1.0, DEFAULT_TOL, times)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return samples, stats, retained, peak
+
+        _, bare, _, bare_peak = traced([1.0])   # the right-hand side's own
+        samples, stats, retained, peak = traced(np.linspace(0.0, 1.0, 200))
+        assert stats.steps == bare.steps and stats.steps < 200
+        assert peak - bare_peak - retained < 3 * dynamics._ROW_BLOCK * 16
+
+    def test_dense_output_of_crowded_steps_holds_a_bounded_batch(self):
+        # 10^5 snapshots of a 3-state sector in 19 steps: the samples, their
+        # tuples and views are about 25 MB; gathering every snapshot's step
+        # array at once would add 38 MB
+        rhs, y0 = ramp_rhs(ground_product_state(REF, 3), REF, CONSTANT_SCHEDULE)
+        tracemalloc.start()
+        try:
+            samples, stats = integrate_ode(rhs, y0, 0.0, 0.05, DEFAULT_TOL,
+                                           np.linspace(0.0, 0.05, 10**5))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.steps < 25 and len(samples) == 10**5
+        assert peak < 1.5 * retained
+
 
 # ---------------------------------------------------------------------------
 # state helpers

@@ -266,6 +266,26 @@ class TestFirstExit:
         if nu0 == 10:
             assert report.exit_time == pytest.approx(0.593705, abs=1e-5)
 
+    def test_scan_takes_each_pulse_area_once(self, monkeypatch):
+        # nu0 = 26 under a bump scans about 90 points of the entry ramp, each
+        # area a quadrature of the envelope: the first-zero mask and the
+        # closed form once took each of them twice.  Plateau areas are in
+        # closed form, and the golden probes lie between grid points
+        quadratures = []
+        real = dynamics._quadrature_area
+
+        def spy(schedule, t):
+            quadratures.append(t)
+            return real(schedule, t)
+
+        monkeypatch.setattr(dynamics, "_quadrature_area", spy)
+        grids = spy_on_scans(monkeypatch)
+        first_passage(26, REF, CouplingSchedule(mode="bump", t_tof=8.0))
+        (grid,) = grids
+        on_ramp = [not 1.0 <= t <= 7.0 for t in grid]
+        assert sum(on_ramp) > 50
+        assert [quadratures.count(t) for t in grid] == [int(r) for r in on_ramp]
+
     def test_no_window_point_near_t_s(self):
         # a bump of 1 never reaches a pulse area of t_s / 2 = 0.59
         with pytest.raises(MinimumNotFoundError, match="pulse area"):
