@@ -526,8 +526,8 @@ class TestStepLoop:
     dense output and their memory."""
 
     def test_step_counts_are_pinned(self, monkeypatch):
-        # counts of the one-product-per-stage-input loop, equal to those of
-        # the loop that formed each stage input in three products
+        # fixed runs whose counts the stage arithmetic, which may move values
+        # by roundoff, must leave as they are
         from cnlight import protocol
 
         runs = []
